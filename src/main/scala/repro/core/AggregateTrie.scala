@@ -5,65 +5,27 @@ import scala.collection.mutable.ArrayBuffer
 
 /** In-place aggregate cache (Section 3.4, "Aggregate Storage").
   *
-  * The trie uses the paper's compact encoding: nodes are stored
-  * contiguously, each node is two 32-bit integers — the offset of its
-  * aggregate in the aggregate store (-1 if the cell is not aggregated) and
-  * the offset of its *first* child node (-1 if it has no children).
-  * Children are always allocated four at a time, so `firstChild + i`
-  * addresses child i directly. Node storage is primitive int arrays —
-  * probes sit on the query hot path.
-  *
-  * Node 0 is the root and corresponds to `rootCell` (same pruning as the
-  * StatsTrie).
+  * The trie uses the paper's compact [[CellTrie]] encoding; a node's value
+  * is the offset of its cell's aggregate in the aggregate store (-1 if the
+  * cell is not aggregated). Sizes are accounted as the paper's two 32-bit
+  * integers per node plus the stored aggregates.
   */
-final class AggregateTrie(val rootCell: CellId, val nCols: Int) {
+final class AggregateTrie(root: CellId, val nCols: Int) extends CellTrie(root, -1L) {
 
-  private var aggOffset  = Array.fill(64)(-1)
-  private var firstChild = Array.fill(64)(-1)
-  private var nNodes     = 1
-  private val aggStore   = ArrayBuffer.empty[AggState]
+  private val aggStore = ArrayBuffer.empty[AggState]
 
-  private val rootLevel = rootCell.level
-
-  def numNodes: Int      = nNodes
   def numAggregates: Int = aggStore.length
-
-  private def growTo(cap: Int): Unit = {
-    if (cap > aggOffset.length) {
-      val newCap = math.max(cap, aggOffset.length * 2)
-      val a = Array.fill(newCap)(-1)
-      val b = Array.fill(newCap)(-1)
-      Array.copy(aggOffset, 0, a, 0, nNodes)
-      Array.copy(firstChild, 0, b, 0, nNodes)
-      aggOffset = a
-      firstChild = b
-    }
-  }
 
   /** Bytes occupied: 8 bytes per node + one stored aggregate each. */
   def sizeBytes: Long =
-    8L * nNodes + AggState.storedBytes(nCols) * numAggregates
-
-  private def inRange(cell: CellId): Boolean =
-    cell.level > rootLevel && rootCell.contains(cell)
+    8L * numNodes + AggState.storedBytes(nCols) * numAggregates
 
   /** Bytes that inserting `cell` would add (new 4-node groups + the
     * aggregate), given the currently existing nodes.
     */
-  def insertCostBytes(cell: CellId): Long = {
-    if (!inRange(cell)) return Long.MaxValue
-    val pos = cell.pos
-    var node      = 0
-    var newGroups = 0
-    var missing   = false
-    var s = 2 * (cell.level - rootLevel - 1)
-    while (s >= 0) {
-      if (missing || firstChild(node) == -1) { newGroups += 1; missing = true }
-      else node = firstChild(node) + ((pos >>> s) & 3L).toInt
-      s -= 2
-    }
-    32L * newGroups + AggState.storedBytes(nCols)
-  }
+  def insertCostBytes(cell: CellId): Long =
+    if (!inRange(cell)) Long.MaxValue
+    else 32L * missingGroups(cell) + AggState.storedBytes(nCols)
 
   /** Materializes the aggregate for `cell`, creating trie nodes along the
     * path (four siblings at a time). Returns false if the cell is outside
@@ -71,100 +33,34 @@ final class AggregateTrie(val rootCell: CellId, val nCols: Int) {
     */
   def insert(cell: CellId, agg: AggState): Boolean = {
     if (!inRange(cell)) return false
-    val pos = cell.pos
-    var node = 0
-    var s = 2 * (cell.level - rootLevel - 1)
-    while (s >= 0) {
-      if (firstChild(node) == -1) {
-        growTo(nNodes + 4)
-        firstChild(node) = nNodes
-        nNodes += 4
-      }
-      node = firstChild(node) + ((pos >>> s) & 3L).toInt
-      s -= 2
-    }
-    if (aggOffset(node) == -1) {
-      aggOffset(node) = aggStore.length
+    val node = nodeFor(cell)
+    if (value(node) == -1L) {
+      value(node) = aggStore.length
       aggStore += agg
     } else {
-      aggStore(aggOffset(node)) = agg
+      aggStore(value(node).toInt) = agg
     }
     true
-  }
-
-  /** Allocation-free probe for the query hot path: the node index for
-    * the cell, or -1 if no node exists on the path.
-    */
-  def nodeOf(cell: CellId): Int = {
-    if (!inRange(cell)) return -1
-    val pos = cell.pos
-    var node = 0
-    var s = 2 * (cell.level - rootLevel - 1)
-    while (s >= 0) {
-      val fc = firstChild(node)
-      if (fc == -1) return -1
-      node = fc + ((pos >>> s) & 3L).toInt
-      s -= 2
-    }
-    node
   }
 
   /** Cached aggregate at the node, or null (hot path companion of
     * [[nodeOf]]).
     */
   def aggOrNull(node: Int): AggState = {
-    val off = aggOffset(node)
-    if (off >= 0) aggStore(off) else null
+    val off = value(node)
+    if (off >= 0) aggStore(off.toInt) else null
   }
 
   /** Cached aggregate of child i of the node, or null. */
   def childAggOrNull(node: Int, i: Int): AggState = {
-    val fc = firstChild(node)
-    if (fc == -1) null
-    else {
-      val off = aggOffset(fc + i)
-      if (off >= 0) aggStore(off) else null
-    }
+    val child = childOf(node, i)
+    if (child == -1) null else aggOrNull(child)
   }
-
-  /** Probe outcome for inspection and tests (the query path uses the
-    * allocation-free [[nodeOf]]/[[aggOrNull]] protocol).
-    */
-  sealed trait Probe
-  /** No node on the path — fall back to the basic algorithm. */
-  case object Missing extends Probe
-  /** The cell is aggregated — use the cached aggregate directly. */
-  final case class Cached(agg: AggState) extends Probe
-  /** A node exists but holds no aggregate — combine aggregated direct
-    * children with the basic algorithm for the rest.
-    */
-  final case class NodeOnly(node: Int) extends Probe
-
-  def probe(cell: CellId): Probe = {
-    val node = nodeOf(cell)
-    if (node < 0) Missing
-    else {
-      val agg = aggOrNull(node)
-      if (agg != null) Cached(agg) else NodeOnly(node)
-    }
-  }
-
-  /** Cached aggregate of child i of the node, if any. */
-  def childAggregate(node: Int, i: Int): Option[AggState] =
-    Option(childAggOrNull(node, i))
 
   /** All aggregated cells (for inspection/tests). */
   def aggregatedCells: IndexedSeq[CellId] = {
     val out = ArrayBuffer.empty[CellId]
-    def walk(node: Int, cell: CellId): Unit = {
-      if (aggOffset(node) >= 0) out += cell
-      val fc = firstChild(node)
-      if (fc != -1 && cell.level < CellId.MaxLevel) {
-        var i = 0
-        while (i < 4) { walk(fc + i, cell.child(i)); i += 1 }
-      }
-    }
-    walk(0, rootCell)
+    foreachNode((node, _, cell) => if (value(node) >= 0) out += cell)
     out.toIndexedSeq
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.s2.CellId
 
@@ -12,8 +11,9 @@ import repro.s2.CellId
   *   1. [[withLeafKey]] maps lon/lat to the level-30 Hilbert key,
   *   2. [[sortByKey]] is the "Sorting" phase,
   *   3. [[headerDF]] computes the CellBlock headers with a groupBy over
-  *      the block-level cell and a window for the raw-data offsets,
-  *   4. [[collectBlock]] materializes the driver-resident [[GeoBlock]].
+  *      the block-level cell,
+  *   4. [[collectBlock]] materializes the driver-resident [[GeoBlock]],
+  *      deriving the raw-data offsets from the counts in cell order.
   *
   * Query side: [[queryPointsDF]] aggregates raw points inside a covering
   * (the on-the-fly reference), and [[queryHeaderDF]] answers the same
@@ -44,8 +44,8 @@ object GeoBlockSpark {
   }
 
   /** CellBlock headers as a DataFrame: one row per non-empty block-level
-    * cell with count, first-tuple offset, and MIN/MAX/SUM per value
-    * column. Output columns: cell, cnt, offset, min_/max_/sum_<col>.
+    * cell with count and MIN/MAX/SUM per value column. Output columns:
+    * cell, cnt, min_/max_/sum_<col>.
     */
   def headerDF(pointsWithKey: DataFrame, level: Int, valueCols: Seq[String]): DataFrame = {
     val aggs: Seq[Column] =
@@ -53,16 +53,14 @@ object GeoBlockSpark {
         valueCols.flatMap { c =>
           Seq(min(col(c)).as(s"min_$c"), max(col(c)).as(s"max_$c"), sum(col(c)).as(s"sum_$c"))
         }
-    val grouped = pointsWithKey
+    pointsWithKey
       .groupBy(blockKeyExpr(col(KeyCol), level).as("cell"))
       .agg(aggs.head, aggs.tail: _*)
-    // Offsets = exclusive running sum of counts in cell order; a single
-    // unpartitioned window is fine at header cardinality (<< raw data).
-    val w = Window.orderBy("cell").rowsBetween(Window.unboundedPreceding, -1)
-    grouped.withColumn("offset", coalesce(sum(col("cnt")).over(w), lit(0L)))
   }
 
-  /** Collects a header DataFrame into the driver-resident [[GeoBlock]]. */
+  /** Collects a header DataFrame into the driver-resident [[GeoBlock]].
+    * Offsets are the exclusive running sum of the counts in cell order.
+    */
   def collectBlock(header: DataFrame, level: Int, valueCols: Seq[String]): GeoBlock = {
     val rows  = header.sort("cell").collect()
     val n     = rows.length
@@ -73,12 +71,14 @@ object GeoBlockSpark {
     val mins  = Array.fill(nCols)(new Array[Double](n))
     val maxs  = Array.fill(nCols)(new Array[Double](n))
     val sums  = Array.fill(nCols)(new Array[Double](n))
+    var offset = 0L
     var i = 0
     while (i < n) {
       val r = rows(i)
       keys(i) = r.getAs[Long]("cell")
-      offs(i) = r.getAs[Long]("offset")
       cnts(i) = r.getAs[Long]("cnt")
+      offs(i) = offset
+      offset += cnts(i)
       var c = 0
       while (c < nCols) {
         mins(c)(i) = toDouble(r.getAs[Any](s"min_${valueCols(c)}"))
@@ -98,13 +98,6 @@ object GeoBlockSpark {
     case i: Int                  => i.toDouble
     case b: java.math.BigDecimal => b.doubleValue
     case x                       => x.toString.toDouble
-  }
-
-  /** End-to-end Spark build: key, sort, group, collect. */
-  def build(points: DataFrame, level: Int, valueCols: Seq[String],
-            lonCol: String = "lon", latCol: String = "lat"): GeoBlock = {
-    val keyed = sortByKey(withLeafKey(points, lonCol, latCol))
-    collectBlock(headerDF(keyed, level, valueCols), level, valueCols)
   }
 
   /** Collects the sorted columnar raw data to the driver — the substrate

@@ -5,59 +5,28 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Workload-statistics trie (Section 3.4, "Collecting Statistics").
   *
-  * Each node keeps four hit counters — how often each of its four child
-  * cells was queried — plus four child pointers, exploiting the shared
-  * level-wise prefix of sibling S2 cells. The trie is pruned to start at
-  * `rootCell`, the smallest cell covering the whole GeoBlock; query cells
-  * outside it (answerable in O(1) by the pre-query check anyway) are
-  * dropped, as are cells at or above the root level.
+  * One hit counter per node — how often the node's cell was queried — in
+  * the [[CellTrie]] encoding, so the counters of four sibling cells sit
+  * side by side. The trie is pruned to start at `rootCell`, the smallest
+  * cell covering the whole GeoBlock; query cells outside it (answerable in
+  * O(1) by the pre-query check anyway) are dropped, as are cells at or
+  * above the root level.
   */
-final class StatsTrie(val rootCell: CellId) {
+final class StatsTrie(root: CellId) extends CellTrie(root, 0L) {
 
-  final class Node {
-    val hits: Array[Long] = new Array[Long](4)
-    val kids: Array[Node] = new Array[Node](4)
-  }
-
-  val root  = new Node
   private var recordedCount = 0L
 
   def recorded: Long = recordedCount
 
   /** Registers one query of `cell`; returns false if the cell cannot be
-    * tracked (outside the pruned root or not deeper than it). Hot path:
-    * the walk extracts 2-bit child indices from the cell position
-    * directly.
+    * tracked (outside the pruned root or not deeper than it).
     */
   def record(cell: CellId): Boolean = {
-    if (cell.level <= rootCell.level || !rootCell.contains(cell)) return false
-    val pos  = cell.pos
-    var node = root
-    var s    = 2 * (cell.level - rootCell.level - 1)
-    while (s > 0) {
-      val idx = ((pos >>> s) & 3L).toInt
-      if (node.kids(idx) == null) node.kids(idx) = new Node
-      node = node.kids(idx)
-      s -= 2
-    }
-    node.hits((pos & 3L).toInt) += 1
+    if (!inRange(cell)) return false
+    val node = nodeFor(cell) // may grow `value`, so index it afterwards
+    value(node) += 1
     recordedCount += 1
     true
-  }
-
-  /** Hit count recorded for a specific cell (0 if never seen). */
-  def hitsOf(cell: CellId): Long = {
-    if (cell.level <= rootCell.level || !rootCell.contains(cell)) return 0L
-    val pos  = cell.pos
-    var node = root
-    var s    = 2 * (cell.level - rootCell.level - 1)
-    while (s > 0) {
-      val idx = ((pos >>> s) & 3L).toInt
-      if (node.kids(idx) == null) return 0L
-      node = node.kids(idx)
-      s -= 2
-    }
-    node.hits((pos & 3L).toInt)
   }
 
   /** A tracked cell with its own hits and its direct parent's hits. */
@@ -69,17 +38,9 @@ final class StatsTrie(val rootCell: CellId) {
   /** All cells with at least one hit, each with its score inputs. */
   def entries: IndexedSeq[Entry] = {
     val out = ArrayBuffer.empty[Entry]
-    def walk(node: Node, cell: CellId): Unit = {
-      var i = 0
-      while (i < 4) {
-        val childCell = cell.child(i)
-        if (node.hits(i) > 0)
-          out += Entry(childCell, node.hits(i), hitsOf(cell))
-        if (node.kids(i) != null) walk(node.kids(i), childCell)
-        i += 1
-      }
+    foreachNode { (node, parent, cell) =>
+      if (value(node) > 0) out += Entry(cell, value(node), value(parent))
     }
-    walk(root, rootCell)
     out.toIndexedSeq
   }
 

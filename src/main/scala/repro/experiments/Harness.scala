@@ -11,19 +11,10 @@ object Harness {
     (a, (t1 - t0) / 1e6)
   }
 
-  /** Median wall-clock ms over `reps` executions (result discarded but
-    * folded into a volatile sink so the JIT cannot remove the work).
+  /** Volatile sink results are folded into so the JIT cannot remove the
+    * work that produced them.
     */
   @volatile var sink: Double = 0.0
-  def medianMs(reps: Int)(f: => Double): Double = {
-    require(reps >= 1)
-    val times = (1 to reps).map { _ =>
-      val (r, ms) = timeMs(f)
-      sink += r
-      ms
-    }.sorted
-    times(times.length / 2)
-  }
 
   /** Median of `reps` already-measured millisecond values produced by
     * repeatedly evaluating `f` (use when `f` times itself internally).

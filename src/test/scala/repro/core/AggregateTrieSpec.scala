@@ -16,17 +16,16 @@ class AggregateTrieSpec extends SparkSpec {
   test("empty trie: root node only, probe misses") {
     val t = new AggregateTrie(root, 2)
     assert(t.numNodes == 1 && t.numAggregates == 0)
-    assert(t.probe(CellId.fromPoint(-73.9, 40.75, 12)) == t.Missing)
+    assert(t.nodeOf(CellId.fromPoint(-73.9, 40.75, 12)) == -1)
   }
 
   test("insert then probe returns the cached aggregate") {
     val t = new AggregateTrie(root, 2)
     val c = CellId.fromPoint(-73.9, 40.75, 12)
     assert(t.insert(c, agg(7)))
-    t.probe(c) match {
-      case t.Cached(a) => assert(a.count == 7)
-      case other       => fail(s"expected Cached, got $other")
-    }
+    val node = t.nodeOf(c)
+    assert(node > 0)
+    assert(t.aggOrNull(node).count == 7)
   }
 
   test("children are allocated four at a time") {
@@ -62,32 +61,30 @@ class AggregateTrieSpec extends SparkSpec {
     assert(t.insertCostBytes(sibling) == AggState.storedBytes(2))
   }
 
-  test("probe on an ancestor path node without aggregate yields NodeOnly") {
+  test("an ancestor path node exists but holds no aggregate") {
     val t = new AggregateTrie(root, 2)
     val c = CellId.fromPoint(-73.9, 40.75, 12)
     t.insert(c, agg(3))
-    val mid = c.parent(10)
-    t.probe(mid) match {
-      case t.NodeOnly(_) => ()
-      case other         => fail(s"expected NodeOnly, got $other")
-    }
+    val node = t.nodeOf(c.parent(10))
+    assert(node > 0)
+    assert(t.aggOrNull(node) == null)
   }
 
-  test("childAggregate finds cached direct children") {
+  test("childAggOrNull finds cached direct children") {
     val t      = new AggregateTrie(root, 2)
     val parent = CellId.fromPoint(-73.9, 40.75, 12)
     val kid0   = parent.child(0)
     val kid2   = parent.child(2)
     t.insert(kid0, agg(10))
     t.insert(kid2, agg(20))
-    t.probe(parent) match {
-      case t.NodeOnly(node) =>
-        assert(t.childAggregate(node, 0).map(_.count).contains(10L))
-        assert(t.childAggregate(node, 1).isEmpty)
-        assert(t.childAggregate(node, 2).map(_.count).contains(20L))
-        assert(t.childAggregate(node, 3).isEmpty)
-      case other => fail(s"expected NodeOnly, got $other")
-    }
+    val node = t.nodeOf(parent)
+    assert(node > 0 && t.aggOrNull(node) == null)
+    assert(t.childAggOrNull(node, 0).count == 10L)
+    assert(t.childAggOrNull(node, 1) == null)
+    assert(t.childAggOrNull(node, 2).count == 20L)
+    assert(t.childAggOrNull(node, 3) == null)
+    // a node without children has no child aggregates
+    assert(t.childAggOrNull(t.nodeOf(kid0), 0) == null)
   }
 
   test("insert outside the root is rejected") {
@@ -104,10 +101,7 @@ class AggregateTrieSpec extends SparkSpec {
     val nodes = t.numNodes
     t.insert(c, agg(5))
     assert(t.numNodes == nodes && t.numAggregates == 1)
-    t.probe(c) match {
-      case t.Cached(a) => assert(a.count == 5)
-      case other       => fail(s"$other")
-    }
+    assert(t.aggOrNull(t.nodeOf(c)).count == 5)
   }
 
   test("aggregatedCells lists exactly the inserted cells") {

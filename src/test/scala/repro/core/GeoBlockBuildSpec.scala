@@ -74,7 +74,9 @@ class GeoBlockBuildSpec extends SparkSpec {
     val points = SynthData.taxiTrips(spark, 0.002, seed = 99)
     val sraw   = GeoBlockSpark.extractAndReorganize(points, TestData.ValueCols)
     val driver = GeoBlock.buildFromSorted(sraw, 15)
-    val viaSpark = GeoBlockSpark.build(points, 15, TestData.ValueCols)
+    val keyed  = GeoBlockSpark.sortByKey(GeoBlockSpark.withLeafKey(points))
+    val viaSpark = GeoBlockSpark.collectBlock(
+      GeoBlockSpark.headerDF(keyed, 15, TestData.ValueCols), 15, TestData.ValueCols)
     assert(driver.numCells == viaSpark.numCells)
     assert(driver.keys.toSeq == viaSpark.keys.toSeq)
     assert(driver.counts.toSeq == viaSpark.counts.toSeq)

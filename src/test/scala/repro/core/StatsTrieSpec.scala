@@ -11,14 +11,18 @@ class StatsTrieSpec extends SparkSpec {
 
   private val root = cellNear(-73.9, 40.75, 8)
 
-  test("record and hitsOf roundtrip") {
+  /** Hits of one cell as `entries` reports them (0 if absent). */
+  private def hitsOf(t: StatsTrie, c: CellId): Long =
+    t.entries.find(_.cell.id == c.id).map(_.hits).getOrElse(0L)
+
+  test("record and entries roundtrip") {
     val t = new StatsTrie(root)
     val c = cellNear(-73.9, 40.75, 14)
-    assert(t.hitsOf(c) == 0)
+    assert(hitsOf(t, c) == 0)
     assert(t.record(c))
-    assert(t.hitsOf(c) == 1)
+    assert(hitsOf(t, c) == 1)
     t.record(c)
-    assert(t.hitsOf(c) == 2)
+    assert(hitsOf(t, c) == 2)
     assert(t.recorded == 2)
   }
 
@@ -26,7 +30,7 @@ class StatsTrieSpec extends SparkSpec {
     val t = new StatsTrie(root)
     val outside = cellNear(10.0, 10.0, 14)
     assert(!t.record(outside))
-    assert(t.hitsOf(outside) == 0)
+    assert(hitsOf(t, outside) == 0)
     assert(t.recorded == 0)
   }
 
@@ -41,10 +45,10 @@ class StatsTrieSpec extends SparkSpec {
     val parent = cellNear(-73.9, 40.75, 13)
     val kids   = parent.children
     t.record(kids(0)); t.record(kids(0)); t.record(kids(2))
-    assert(t.hitsOf(kids(0)) == 2)
-    assert(t.hitsOf(kids(1)) == 0)
-    assert(t.hitsOf(kids(2)) == 1)
-    assert(t.hitsOf(kids(3)) == 0)
+    assert(hitsOf(t, kids(0)) == 2)
+    assert(hitsOf(t, kids(1)) == 0)
+    assert(hitsOf(t, kids(2)) == 1)
+    assert(hitsOf(t, kids(3)) == 0)
   }
 
   test("entries lists every recorded cell with its own hits") {
