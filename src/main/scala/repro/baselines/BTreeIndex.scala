@@ -26,14 +26,4 @@ final class BTreeIndex(val raw: RawColumns, fanout: Int = 16) {
     }
     st
   }
-
-  def countCells(cells: Seq[CellId]): Long = {
-    var total = 0L
-    cells.foreach { cell =>
-      var i  = tree.lowerBound(cell.rangeMin)
-      val hi = cell.rangeMax
-      while (i < raw.size && raw.keys(i) <= hi) { total += 1; i += 1 }
-    }
-    total
-  }
 }

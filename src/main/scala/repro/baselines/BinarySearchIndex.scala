@@ -25,13 +25,4 @@ final class BinarySearchIndex(val raw: RawColumns) {
     }
     st
   }
-
-  def countCells(cells: Seq[CellId]): Long = {
-    var total = 0L
-    cells.foreach { cell =>
-      val (from, until) = raw.rangeOf(cell)
-      total += (until - from)
-    }
-    total
-  }
 }

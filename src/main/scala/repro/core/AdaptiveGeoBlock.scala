@@ -16,8 +16,6 @@ final class AdaptiveGeoBlock(val block: GeoBlock) {
   val stats: StatsTrie = StatsTrie.forBlock(block)
   private var trie: Option[AggregateTrie] = None
 
-  def aggregateTrie: Option[AggregateTrie] = trie
-
   /** Builds the AggregateTrie from the statistics collected so far. The
     * threshold is the allowed size as a fraction of the GeoBlock header
     * size (the paper's "aggregate threshold"). Candidates are inserted in
@@ -41,8 +39,6 @@ final class AdaptiveGeoBlock(val block: GeoBlock) {
     trie = Some(t)
     t
   }
-
-  def dropAggregateTrie(): Unit = trie = None
 
   /** Adapted per-cell SELECT: probe the AggregateTrie first; on a hit use
     * the cached aggregate, on a node without aggregate combine cached
@@ -87,17 +83,4 @@ final class AdaptiveGeoBlock(val block: GeoBlock) {
   /** V2 SELECT query over a polygon (covering + [[selectCells]]). */
   def select(poly: Polygon, specs: Seq[AggSpec]): Array[Double] =
     selectCells(Covering.exterior(poly, block.blockLevel), specs)
-
-  /** COUNT queries keep the V1 fast path (the paper expects no speedup
-    * from the AggregateTrie here) but still record statistics.
-    */
-  def count(poly: Polygon): Long = {
-    val cells = Covering.exterior(poly, block.blockLevel)
-    var total = 0L
-    cells.foreach { c =>
-      stats.record(c)
-      total += block.countCell(c)
-    }
-    total
-  }
 }

@@ -56,11 +56,4 @@ final class AggregateTrie(root: CellId, val nCols: Int) extends CellTrie(root, -
     val child = childOf(node, i)
     if (child == -1) null else aggOrNull(child)
   }
-
-  /** All aggregated cells (for inspection/tests). */
-  def aggregatedCells: IndexedSeq[CellId] = {
-    val out = ArrayBuffer.empty[CellId]
-    foreachNode((node, _, cell) => if (value(node) >= 0) out += cell)
-    out.toIndexedSeq
-  }
 }

@@ -33,8 +33,6 @@ final class AggState(val nCols: Int) {
   val maxs: Array[Double] = Array.fill(nCols)(Double.NegativeInfinity)
   val sums: Array[Double] = new Array[Double](nCols)
 
-  def isEmpty: Boolean = count == 0L
-
   /** Folds one raw tuple in, touching only the requested columns. */
   def addTuple(values: Array[Array[Double]], row: Int, cols: Array[Int]): Unit = {
     count += 1
@@ -62,23 +60,6 @@ final class AggState(val nCols: Int) {
     }
   }
 
-  /** Merges raw min/max/sum/count component values (e.g. a CellBlock
-    * header row) for the requested columns.
-    */
-  def mergeComponents(cnt: Long, cMins: Int => Double, cMaxs: Int => Double,
-                      cSums: Int => Double, cols: Array[Int]): Unit = {
-    count += cnt
-    var i = 0
-    while (i < cols.length) {
-      val c = cols(i)
-      val mn = cMins(c); val mx = cMaxs(c); val s = cSums(c)
-      if (mn < mins(c)) mins(c) = mn
-      if (mx > maxs(c)) maxs(c) = mx
-      sums(c) += s
-      i += 1
-    }
-  }
-
   /** Evaluates one requested aggregate from the accumulated state. */
   def extract(spec: AggSpec): Double = spec.func match {
     case AggFunc.Count => count.toDouble
@@ -89,15 +70,6 @@ final class AggState(val nCols: Int) {
   }
 
   def extractAll(specs: Seq[AggSpec]): Array[Double] = specs.map(extract).toArray
-
-  def copyOf(): AggState = {
-    val c = new AggState(nCols)
-    c.count = count
-    Array.copy(mins, 0, c.mins, 0, nCols)
-    Array.copy(maxs, 0, c.maxs, 0, nCols)
-    Array.copy(sums, 0, c.sums, 0, nCols)
-    c
-  }
 
   override def toString: String =
     s"AggState(count=$count, mins=${mins.mkString(",")}, maxs=${maxs.mkString(",")}, sums=${sums.mkString(",")})"

@@ -36,13 +36,8 @@ final class GeoBlock(
 
   /** Block-wide aggregate over all CellBlocks. */
   val blockAgg: AggState = {
-    val a  = new AggState(nCols)
-    val ac = AggState.allCols(nCols)
-    var i  = 0
-    while (i < numCells) {
-      a.mergeComponents(counts(i), c => mins(c)(i), c => maxs(c)(i), c => sums(c)(i), ac)
-      i += 1
-    }
+    val a = new AggState(nCols)
+    selectCellInto(CellId.World, AggState.allCols(nCols), a)
     a
   }
 

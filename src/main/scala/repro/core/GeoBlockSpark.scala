@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.api.java.UDF2
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType}
 import repro.s2.CellId
 
 /** The distributed dataflow around GeoBlocks.
@@ -15,21 +17,28 @@ import repro.s2.CellId
   *   4. [[collectBlock]] materializes the driver-resident [[GeoBlock]],
   *      deriving the raw-data offsets from the counts in cell order.
   *
-  * Query side: [[queryPointsDF]] aggregates raw points inside a covering
-  * (the on-the-fly reference), and [[queryHeaderDF]] answers the same
-  * covering from the pre-aggregated header by a range join — the
-  * "combine block aggregates with spatial joins" formulation. Both are
-  * oracle-checked against DuckDB in the test suite.
+  * Queries are answered on the driver by [[GeoBlock]] and
+  * [[AdaptiveGeoBlock]].
   */
 object GeoBlockSpark {
 
   val KeyCol = "cell_key"
 
-  private val leafKeyUdf = udf((lon: Double, lat: Double) => CellId.leafKey(lon, lat))
+  /** Untyped in its inputs, so Spark passes each coordinate as it is: a
+    * null reaches the check instead of becoming a null key, and no value
+    * goes through an encoder.
+    */
+  private val leafKey: UDF2[java.lang.Double, java.lang.Double, Long] = (lon, lat) => {
+    if (lon == null || lat == null)
+      throw new IllegalArgumentException(s"null coordinate: lon=$lon, lat=$lat")
+    CellId.leafKey(lon, lat)
+  }
+  private val leafKeyUdf = udf(leafKey, LongType)
 
   /** Adds the level-30 spatial key column derived from lon/lat. */
   def withLeafKey(points: DataFrame, lonCol: String = "lon", latCol: String = "lat"): DataFrame =
-    points.withColumn(KeyCol, leafKeyUdf(col(lonCol), col(latCol)))
+    points.withColumn(KeyCol,
+      leafKeyUdf(col(lonCol).cast(DoubleType), col(latCol).cast(DoubleType)))
 
   /** The "Sorting" phase: reorganize by ascending spatial key. */
   def sortByKey(pointsWithKey: DataFrame): DataFrame = pointsWithKey.sort(KeyCol)
@@ -51,7 +60,8 @@ object GeoBlockSpark {
     val aggs: Seq[Column] =
       count(lit(1)).as("cnt") +:
         valueCols.flatMap { c =>
-          Seq(min(col(c)).as(s"min_$c"), max(col(c)).as(s"max_$c"), sum(col(c)).as(s"sum_$c"))
+          val v = col(c).cast(DoubleType)
+          Seq(min(v).as(s"min_$c"), max(v).as(s"max_$c"), sum(v).as(s"sum_$c"))
         }
     pointsWithKey
       .groupBy(blockKeyExpr(col(KeyCol), level).as("cell"))
@@ -81,23 +91,14 @@ object GeoBlockSpark {
       offset += cnts(i)
       var c = 0
       while (c < nCols) {
-        mins(c)(i) = toDouble(r.getAs[Any](s"min_${valueCols(c)}"))
-        maxs(c)(i) = toDouble(r.getAs[Any](s"max_${valueCols(c)}"))
-        sums(c)(i) = toDouble(r.getAs[Any](s"sum_${valueCols(c)}"))
+        mins(c)(i) = r.getAs[Double](s"min_${valueCols(c)}")
+        maxs(c)(i) = r.getAs[Double](s"max_${valueCols(c)}")
+        sums(c)(i) = r.getAs[Double](s"sum_${valueCols(c)}")
         c += 1
       }
       i += 1
     }
     new GeoBlock(level, valueCols.toArray, keys, offs, cnts, mins, maxs, sums)
-  }
-
-  private def toDouble(a: Any): Double = a match {
-    case d: Double               => d
-    case f: Float                => f.toDouble
-    case l: Long                 => l.toDouble
-    case i: Int                  => i.toDouble
-    case b: java.math.BigDecimal => b.doubleValue
-    case x                       => x.toString.toDouble
   }
 
   /** Collects the sorted columnar raw data to the driver — the substrate
@@ -107,7 +108,7 @@ object GeoBlockSpark {
   def extractAndReorganize(points: DataFrame, valueCols: Seq[String],
                            lonCol: String = "lon", latCol: String = "lat"): RawColumns = {
     val sorted = sortByKey(withLeafKey(points, lonCol, latCol))
-      .select((Seq(KeyCol, lonCol, latCol) ++ valueCols).map(col): _*)
+      .select(col(KeyCol) +: (Seq(lonCol, latCol) ++ valueCols).map(col(_).cast(DoubleType)): _*)
     val rows = sorted.collect()
     val n    = rows.length
     val keys = new Array[Long](n)
@@ -118,54 +119,12 @@ object GeoBlockSpark {
     while (i < n) {
       val r = rows(i)
       keys(i) = r.getLong(0)
-      lons(i) = toDouble(r.get(1))
-      lats(i) = toDouble(r.get(2))
+      lons(i) = r.getDouble(1)
+      lats(i) = r.getDouble(2)
       var c = 0
-      while (c < valueCols.length) { vals(c)(i) = toDouble(r.get(3 + c)); c += 1 }
+      while (c < valueCols.length) { vals(c)(i) = r.getDouble(3 + c); c += 1 }
       i += 1
     }
     new RawColumns(keys, lons, lats, valueCols.toArray, vals)
-  }
-
-  /** A covering as a DataFrame of inclusive leaf-key ranges (lo, hi). */
-  def coveringDF(spark: SparkSession, cells: Seq[CellId]): DataFrame = {
-    import spark.implicits._
-    cells.map(c => (c.rangeMin, c.rangeMax)).toDF("lo", "hi")
-  }
-
-  private def resultAggs(valueCols: Seq[String]): Seq[Column] =
-    count(lit(1)).as("cnt") +:
-      valueCols.flatMap { c =>
-        Seq(min(col(c)).as(s"min_$c"), max(col(c)).as(s"max_$c"), sum(col(c)).as(s"sum_$c"))
-      }
-
-  /** On-the-fly distributed aggregation: raw points range-joined against
-    * the covering, then aggregated — the ground truth for the covering.
-    */
-  def queryPointsDF(pointsWithKey: DataFrame, covering: DataFrame,
-                    valueCols: Seq[String]): DataFrame = {
-    val aggs = resultAggs(valueCols)
-    pointsWithKey
-      .join(covering, col(KeyCol) >= col("lo") && col(KeyCol) <= col("hi"))
-      .agg(aggs.head, aggs.tail: _*)
-  }
-
-  /** Pre-aggregated distributed query: the header range-joined against
-    * the covering, combining aggregates of aggregates. Covering cells
-    * must be at most the block level (disjointness of the covering makes
-    * the join match each CellBlock at most once).
-    */
-  def queryHeaderDF(header: DataFrame, covering: DataFrame,
-                    valueCols: Seq[String]): DataFrame = {
-    val aggs: Seq[Column] =
-      sum(col("cnt")).as("cnt") +:
-        valueCols.flatMap { c =>
-          Seq(min(col(s"min_$c")).as(s"min_$c"),
-              max(col(s"max_$c")).as(s"max_$c"),
-              sum(col(s"sum_$c")).as(s"sum_$c"))
-        }
-    header
-      .join(covering, col("cell") >= col("lo") && col("cell") <= col("hi"))
-      .agg(aggs.head, aggs.tail: _*)
   }
 }

@@ -14,10 +14,6 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class StatsTrie(root: CellId) extends CellTrie(root, 0L) {
 
-  private var recordedCount = 0L
-
-  def recorded: Long = recordedCount
-
   /** Registers one query of `cell`; returns false if the cell cannot be
     * tracked (outside the pruned root or not deeper than it).
     */
@@ -25,7 +21,6 @@ final class StatsTrie(root: CellId) extends CellTrie(root, 0L) {
     if (!inRange(cell)) return false
     val node = nodeFor(cell) // may grow `value`, so index it afterwards
     value(node) += 1
-    recordedCount += 1
     true
   }
 

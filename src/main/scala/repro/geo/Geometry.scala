@@ -23,16 +23,6 @@ final case class BBox(minX: Double, minY: Double, maxX: Double, maxY: Double) {
 
   def intersects(o: BBox): Boolean =
     !(o.minX > maxX || o.maxX < minX || o.minY > maxY || o.maxY < minY)
-
-  def corners: Seq[Pt] =
-    Seq(Pt(minX, minY), Pt(maxX, minY), Pt(maxX, maxY), Pt(minX, maxY))
-
-  /** Box scaled by factor f around its center (f < 1 shrinks). */
-  def scaled(f: Double): BBox = {
-    val hw = width / 2 * f
-    val hh = height / 2 * f
-    BBox(centerX - hw, centerY - hh, centerX + hw, centerY + hh)
-  }
 }
 
 /** How a polygon relates to an axis-aligned box. */
@@ -150,9 +140,6 @@ object Geometry {
     if (d4 == 0 && onSegmentXY(p1x, p1y, p2x, p2y, q2x, q2y)) return true
     false
   }
-
-  def segmentsIntersect(p1: Pt, p2: Pt, q1: Pt, q2: Pt): Boolean =
-    segmentsIntersectXY(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y)
 
   /** Does the (closed) segment a-c cross any edge of the axis-aligned
     * box? The caller has already bbox-rejected fully-separated cases.

@@ -55,12 +55,6 @@ final class CellId(val id: Long) extends AnyVal {
     CellId.fromPosLevel(pos * 4 + i, level + 1)
   }
 
-  /** Which child (0..3) of the level-`l` ancestor leads toward this cell. */
-  def childIndexAt(l: Int): Int = {
-    require(l >= 1 && l <= level)
-    ((pos >>> (2 * (level - l))) & 3L).toInt
-  }
-
   /** Lon/lat rectangle covered by this cell. */
   def bounds: BBox = {
     val (cx, cy) = if (level == 0) (0L, 0L) else Hilbert.d2xy(level, pos)
@@ -125,8 +119,16 @@ object CellId {
     fromPosLevel(pos30 >>> (2 * (MaxLevel - level)), level)
   }
 
-  /** Raw leaf id for a point — the spatial sort key of the raw data. */
-  def leafKey(lon: Double, lat: Double): Long = fromPoint(lon, lat).id
+  /** Raw leaf id for a point — the spatial sort key of the raw data.
+    * Unlike [[fromPoint]], which clamps query geometry onto the grid, a
+    * data point must lie in the world: NaN or out-of-world coordinates
+    * are rejected rather than stored under a border cell.
+    */
+  def leafKey(lon: Double, lat: Double): Long = {
+    require(lon >= WorldMinX && lon <= WorldMaxX && lat >= WorldMinY && lat <= WorldMaxY,
+      s"coordinate outside the world [-180, 180] x [-90, 90]: lon=$lon, lat=$lat")
+    fromPoint(lon, lat).id
+  }
 
   /** Deepest cell that is an ancestor of both arguments. */
   def commonAncestor(a: CellId, b: CellId): CellId = {

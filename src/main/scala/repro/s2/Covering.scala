@@ -10,22 +10,14 @@ import scala.collection.mutable.ArrayBuffer
   * allows, boundary cells are subdivided down to `maxLevel` and kept.
   * This is the only step of the GeoBlocks query pipeline that introduces
   * error, and the error is bounded by the diagonal of a `maxLevel` cell.
-  *
-  * An *interior* covering drops the boundary cells instead, yielding a
-  * subset of the polygon.
   */
 object Covering {
 
   /** Exterior covering with cells of level in [minLevel, maxLevel]. */
   def exterior(poly: Polygon, maxLevel: Int, minLevel: Int = 0): IndexedSeq[CellId] =
-    cover(poly, maxLevel, minLevel, interior = false)
+    cover(poly, maxLevel, minLevel)
 
-  /** Interior covering (cells fully contained in the polygon). */
-  def interior(poly: Polygon, maxLevel: Int, minLevel: Int = 0): IndexedSeq[CellId] =
-    cover(poly, maxLevel, minLevel, interior = true)
-
-  private def cover(poly: Polygon, maxLevel: Int, minLevel: Int,
-                    interior: Boolean): IndexedSeq[CellId] = {
+  private def cover(poly: Polygon, maxLevel: Int, minLevel: Int): IndexedSeq[CellId] = {
     require(maxLevel >= minLevel && maxLevel <= CellId.MaxLevel)
     val out  = ArrayBuffer.empty[CellId]
     val root = startCell(poly.bbox, maxLevel)
@@ -39,7 +31,7 @@ object Covering {
         if (cell.level >= minLevel) out += cell
         else recurseChildren(cell)
       case BoxRelation.Intersects =>
-        if (cell.level >= maxLevel) { if (!interior) out += cell }
+        if (cell.level >= maxLevel) out += cell
         else recurseChildren(cell)
     }
     recurse(root)

@@ -1,7 +1,7 @@
 package repro.workload
 
 import repro.core.{AggFunc, AggSpec}
-import repro.geo.{BBox, Polygon, Pt}
+import repro.geo.{Polygon, Pt}
 import scala.util.Random
 
 /** Query workloads of the evaluation (Section 4.1): the base workload
@@ -87,7 +87,4 @@ object Workloads {
       Pt(cx - hw, cy - hh), Pt(cx + hw, cy - hh), Pt(cx + hw, cy + hh), Pt(cx - hw, cy + hh)))
     (poly, countIn(s).toDouble / n)
   }
-
-  /** Bounding box variant for the rectangle-only baselines. */
-  def rectOf(poly: Polygon): BBox = poly.bbox
 }

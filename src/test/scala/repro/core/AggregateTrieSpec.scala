@@ -104,14 +104,4 @@ class AggregateTrieSpec extends SparkSpec {
     assert(t.aggOrNull(t.nodeOf(c)).count == 5)
   }
 
-  test("aggregatedCells lists exactly the inserted cells") {
-    val t = new AggregateTrie(root, 2)
-    // descendants of the root by construction, so every insert succeeds
-    val cells = Seq(
-      root.child(0).child(1).child(2),
-      root.child(3).child(0),
-      root.child(1).child(1).child(0).child(2))
-    cells.foreach(c => assert(t.insert(c, agg(1))))
-    assert(t.aggregatedCells.map(_.id).toSet == cells.map(_.id).toSet)
-  }
 }

@@ -69,19 +69,6 @@ class AggregatesSpec extends SparkSpec {
     assert((a.count, a.mins.toSeq, a.maxs.toSeq, a.sums.toSeq) == before)
   }
 
-  test("mergeComponents matches mergeFrom") {
-    val vals = mkValues(30, 3, 4)
-    val all  = AggState.allCols(3)
-    val src  = new AggState(3)
-    (0 until 30).foreach(src.addTuple(vals, _, all))
-    val viaFrom = new AggState(3); viaFrom.mergeFrom(src, all)
-    val viaComp = new AggState(3)
-    viaComp.mergeComponents(src.count, src.mins(_), src.maxs(_), src.sums(_), all)
-    assert(viaFrom.count == viaComp.count)
-    assert(viaFrom.mins.toSeq == viaComp.mins.toSeq)
-    assert(viaFrom.sums.toSeq == viaComp.sums.toSeq)
-  }
-
   test("extract evaluates every aggregate function") {
     val vals = Array(Array(2.0, 4.0, 6.0))
     val st   = new AggState(1)
@@ -95,18 +82,9 @@ class AggregatesSpec extends SparkSpec {
 
   test("avg of an empty state is NaN, count is 0") {
     val st = new AggState(1)
-    assert(st.isEmpty)
+    assert(st.count == 0)
     assert(st.extract(AggSpec(AggFunc.Count)) == 0.0)
     assert(st.extract(AggSpec(AggFunc.Avg, 0)).isNaN)
-  }
-
-  test("copyOf is independent of the original") {
-    val vals = mkValues(5, 1, 9)
-    val st   = new AggState(1)
-    (0 until 5).foreach(st.addTuple(vals, _, Array(0)))
-    val cp = st.copyOf()
-    st.addTuple(vals, 0, Array(0))
-    assert(cp.count == 5 && st.count == 6)
   }
 
   test("neededCols deduplicates and drops COUNT") {

@@ -101,8 +101,12 @@ class GeoBlockQuerySpec extends SparkSpec {
   test("query for a polygon outside the data returns empty aggregates") {
     val far = Polygon(IndexedSeq(Pt(10, 10), Pt(11, 10), Pt(11, 11), Pt(10, 11)))
     assert(block.count(far) == 0)
-    val res = block.select(far, Seq(AggSpec(AggFunc.Count), AggSpec(AggFunc.Sum, 2)))
+    // Empty results are the identities of each aggregate, not SQL NULL.
+    val res = block.select(far, Seq(AggSpec(AggFunc.Count), AggSpec(AggFunc.Sum, 2),
+      AggSpec(AggFunc.Min, 2), AggSpec(AggFunc.Max, 2), AggSpec(AggFunc.Avg, 2)))
     assert(res(0) == 0.0 && res(1) == 0.0)
+    assert(res(2) == Double.PositiveInfinity && res(3) == Double.NegativeInfinity)
+    assert(res(4).isNaN)
   }
 
   test("select honors the requested aggregate subset") {

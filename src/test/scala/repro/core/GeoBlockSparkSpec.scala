@@ -1,72 +1,17 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec, SynthData, TestData}
-import repro.s2.Covering
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import repro.{SparkSpec, SynthData}
 
-/** Distributed query path: the covering range-join over raw points and
-  * over the pre-aggregated header, validated against DuckDB and against
-  * the driver-side block.
+/** The Spark build steps: key assignment, sort and header grouping, and
+  * how they treat coordinates that have no place on the grid.
   */
 class GeoBlockSparkSpec extends SparkSpec {
 
   private lazy val points = SynthData.taxiTrips(spark, 0.002, seed = 21).cache()
   private lazy val keyed  = GeoBlockSpark.withLeafKey(points).cache()
   private val cols        = Seq("trip_distance", "passenger_count")
-
-  private def covering(polyIdx: Int) =
-    Covering.exterior(TestData.polys(polyIdx), 15)
-
-  test("queryPointsDF matches DuckDB range-join oracle") {
-    val cells = covering(40)
-    val cov   = GeoBlockSpark.coveringDF(spark, cells)
-    val got = GeoBlockSpark.queryPointsDF(keyed, cov, Seq("trip_distance"))
-      .select("cnt", "min_trip_distance", "max_trip_distance", "sum_trip_distance")
-    val sql =
-      """SELECT count(*) AS cnt,
-        |       min(CAST(t.trip_distance AS DOUBLE)) AS min_trip_distance,
-        |       max(CAST(t.trip_distance AS DOUBLE)) AS max_trip_distance,
-        |       sum(CAST(t.trip_distance AS DOUBLE)) AS sum_trip_distance
-        |FROM taxi t, cov c
-        |WHERE CAST(t.cell_key AS BIGINT) BETWEEN CAST(c.lo AS BIGINT)
-        |                                     AND CAST(c.hi AS BIGINT)""".stripMargin
-    Oracle.assertEquivalent(got, sql, "taxi" -> keyed, "cov" -> cov)
-  }
-
-  test("queryHeaderDF equals queryPointsDF for count and sum aggregates") {
-    val header = GeoBlockSpark.headerDF(keyed, 15, cols).cache()
-    for (polyIdx <- Seq(10, 40, 80)) {
-      val cov = GeoBlockSpark.coveringDF(spark, covering(polyIdx))
-      val fromPoints = GeoBlockSpark.queryPointsDF(keyed, cov, cols).collect()(0)
-      val fromHeader = GeoBlockSpark.queryHeaderDF(header, cov, cols).collect()(0)
-      assert(fromHeader.getAs[Long]("cnt") == fromPoints.getAs[Long]("cnt"))
-      cols.foreach { c =>
-        val cnt = fromPoints.getAs[Long]("cnt")
-        if (cnt > 0) {
-          assert(fromHeader.getAs[Double](s"min_$c") == fromPoints.getAs[Double](s"min_$c"))
-          assert(fromHeader.getAs[Double](s"max_$c") == fromPoints.getAs[Double](s"max_$c"))
-          assert(math.abs(fromHeader.getAs[Double](s"sum_$c") - fromPoints.getAs[Double](s"sum_$c")) < 1e-6)
-        }
-      }
-    }
-  }
-
-  test("queryHeaderDF matches the driver-side block query") {
-    val raw    = GeoBlockSpark.extractAndReorganize(points, TestData.ValueCols)
-    val block  = GeoBlock.buildFromSorted(raw, 15)
-    val header = GeoBlockSpark.headerDF(keyed, 15, TestData.ValueCols)
-    for (polyIdx <- Seq(25, 60)) {
-      val cells = Covering.exterior(TestData.polys(polyIdx), 15)
-      val cov   = GeoBlockSpark.coveringDF(spark, cells)
-      val dist  = GeoBlockSpark.queryHeaderDF(header, cov, TestData.ValueCols).collect()(0)
-      val local = block.selectCells(cells, AggState.allCols(3))
-      assert(Option(dist.getAs[Long]("cnt")).getOrElse(0L) == local.count)
-      if (local.count > 0) {
-        assert(dist.getAs[Double]("min_dropoff_ts") == local.mins(0))
-        assert(dist.getAs[Double]("max_trip_distance") == local.maxs(2))
-        assert(math.abs(dist.getAs[Double]("sum_passenger_count") - local.sums(1)) < 1e-6)
-      }
-    }
-  }
 
   test("withLeafKey agrees with the driver-side key function") {
     val rows = keyed.select("lon", "lat", GeoBlockSpark.KeyCol).limit(200).collect()
@@ -86,5 +31,42 @@ class GeoBlockSparkSpec extends SparkSpec {
     val header = GeoBlockSpark.headerDF(keyed, 15, cols)
     val total  = header.agg(org.apache.spark.sql.functions.sum("cnt")).collect()(0).getLong(0)
     assert(total == points.count())
+  }
+
+  /** A valid point followed by one with the given coordinates. */
+  private def withBadPoint(lon: java.lang.Double, lat: java.lang.Double): DataFrame =
+    spark.createDataFrame(
+      java.util.Arrays.asList(Row(-73.98, 40.75, 1.0), Row(lon, lat, 2.0)),
+      StructType(Seq("lon", "lat", "v").map(StructField(_, DoubleType))))
+
+  /** Messages of the failure and all its causes. */
+  private def failureText(f: => Any): String = {
+    val e = intercept[Exception](f)
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .map(t => s"${t.getClass.getName}: ${t.getMessage}").mkString("\n")
+  }
+
+  private val badPoints: Seq[(java.lang.Double, java.lang.Double, String)] = Seq(
+    (Double.NaN, 40.75, "lon=NaN"),
+    (-73.98, Double.NaN, "lat=NaN"),
+    (-200.0, 40.75, "lon=-200.0"),
+    (-73.98, 95.0, "lat=95.0"),
+    (null, 40.75, "lon=null"),
+    (-73.98, null, "lat=null"))
+
+  test("extractAndReorganize rejects NaN, out-of-world and null coordinates by value") {
+    badPoints.foreach { case (lon, lat, named) =>
+      val text = failureText(GeoBlockSpark.extractAndReorganize(withBadPoint(lon, lat), Seq("v")))
+      assert(text.contains("IllegalArgumentException") && text.contains(named), text)
+    }
+  }
+
+  test("collectBlock(headerDF) rejects NaN, out-of-world and null coordinates by value") {
+    badPoints.foreach { case (lon, lat, named) =>
+      val keyed = GeoBlockSpark.withLeafKey(withBadPoint(lon, lat))
+      val text  = failureText(
+        GeoBlockSpark.collectBlock(GeoBlockSpark.headerDF(keyed, 15, Seq("v")), 15, Seq("v")))
+      assert(text.contains("IllegalArgumentException") && text.contains(named), text)
+    }
   }
 }

@@ -23,7 +23,7 @@ class StatsTrieSpec extends SparkSpec {
     assert(hitsOf(t, c) == 1)
     t.record(c)
     assert(hitsOf(t, c) == 2)
-    assert(t.recorded == 2)
+    assert(t.entries.map(_.hits).sum == 2)
   }
 
   test("cells outside the pruned root are ignored") {
@@ -31,7 +31,7 @@ class StatsTrieSpec extends SparkSpec {
     val outside = cellNear(10.0, 10.0, 14)
     assert(!t.record(outside))
     assert(hitsOf(t, outside) == 0)
-    assert(t.recorded == 0)
+    assert(t.entries.map(_.hits).sum == 0)
   }
 
   test("cells at or above the root level are ignored") {

@@ -58,7 +58,7 @@ class TriePropertySpec extends SparkSpec {
       }.toSet
       val got = t.entries.map(e => (e.cell.id, e.hits, e.parentHits))
       accepted == cells.map(inRange) && got.length == got.toSet.size &&
-        got.toSet == expected && t.recorded == cells.count(inRange).toLong
+        got.toSet == expected && t.entries.map(_.hits).sum == cells.count(inRange).toLong
     })
   }
 

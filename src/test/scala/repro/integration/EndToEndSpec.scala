@@ -1,5 +1,7 @@
 package repro.integration
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import repro.{Oracle, SparkSpec, SynthData, TestData}
 import repro.core._
 import repro.baselines.{BTreeIndex, BinarySearchIndex}
@@ -7,8 +9,8 @@ import repro.s2.{CellId, Covering}
 import repro.workload.Workloads
 
 /** End-to-end: Spark build -> driver structures -> polygon queries, with
-  * every engine agreeing and the error bound holding, plus a full
-  * pipeline oracle check against DuckDB.
+  * every engine agreeing and the error bound holding, plus a DuckDB check
+  * of the driver's V1 answer.
   */
 class EndToEndSpec extends SparkSpec {
 
@@ -53,31 +55,34 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("full pipeline matches DuckDB: polygon covering aggregate at SF=0.002") {
+    import spark.implicits._
     val points = SynthData.taxiTrips(spark, 0.002, seed = 77)
-    val keyed  = GeoBlockSpark.withLeafKey(points)
-    val poly   = TestData.polys(45)
+    val poly   = TestData.polys(55) // 316 points under its covering
     val cells  = Covering.exterior(poly, 15)
-    val cov    = GeoBlockSpark.coveringDF(spark, cells)
-    val header = GeoBlockSpark.headerDF(keyed, 15, Seq("passenger_count"))
-    val got = GeoBlockSpark.queryHeaderDF(header, cov, Seq("passenger_count"))
-      .select("cnt", "sum_passenger_count")
-    val sql =
-      """SELECT count(*) AS cnt,
-        |       sum(CAST(t.passenger_count AS DOUBLE)) AS sum_passenger_count
-        |FROM taxi t, cov c
-        |WHERE CAST(t.cell_key AS BIGINT) BETWEEN CAST(c.lo AS BIGINT)
-        |                                     AND CAST(c.hi AS BIGINT)""".stripMargin
-    Oracle.assertEquivalent(got, sql, "taxi" -> keyed, "cov" -> cov)
-  }
-
-  test("COUNT fast path equals distributed count for sampled neighborhoods") {
-    val keyed = GeoBlockSpark.withLeafKey(SynthData.taxiTrips(spark, 0.01)).cache()
-    for (i <- Seq(20, 85, 150)) {
-      val cells = Covering.exterior(TestData.polys(i), 17)
-      val cov   = GeoBlockSpark.coveringDF(spark, cells)
-      val dist  = GeoBlockSpark.queryPointsDF(keyed, cov, Nil).collect()(0).getAs[Long]("cnt")
-      assert(block.count(TestData.polys(i)) == dist, s"poly $i")
+    // The driver's V1 answer over the product build path.
+    val b15 = GeoBlock.buildFromSorted(
+      GeoBlockSpark.extractAndReorganize(points, TestData.ValueCols), 15)
+    val agg = b15.selectCells(cells, AggState.allCols(3))
+    // An empty aggregate is +inf here and NULL in SQL; compare real data.
+    assert(agg.count > 0, "covering holds no points")
+    val names  = TestData.ValueCols.flatMap(c => Seq(s"min_$c", s"max_$c", s"sum_$c"))
+    val values = (0 until 3).flatMap(c => Seq(agg.mins(c), agg.maxs(c), agg.sums(c)))
+    val driver = spark.createDataFrame(
+      java.util.Arrays.asList(Row.fromSeq(agg.count +: values)),
+      StructType(StructField("cnt", LongType) +: names.map(StructField(_, DoubleType))))
+    val cov = cells.map(c => (c.rangeMin, c.rangeMax)).toDF("lo", "hi")
+    val colAggs = TestData.ValueCols.map { c =>
+      s"min(CAST(t.$c AS DOUBLE)) AS min_$c, max(CAST(t.$c AS DOUBLE)) AS max_$c, " +
+        s"sum(CAST(t.$c AS DOUBLE)) AS sum_$c"
     }
+    val sql =
+      s"""SELECT count(*) AS cnt, ${colAggs.mkString(", ")}
+         |FROM taxi t, cov c
+         |WHERE CAST(t.cell_key AS BIGINT) BETWEEN CAST(c.lo AS BIGINT)
+         |                                     AND CAST(c.hi AS BIGINT)""".stripMargin
+    Oracle.assertEquivalent(driver, sql, "taxi" -> GeoBlockSpark.withLeafKey(points), "cov" -> cov)
+    // The COUNT fast path agrees with the scanned count DuckDB just checked.
+    assert(b15.count(poly) == agg.count)
   }
 
   test("rebuilding a block at a different level from the same raw data is consistent") {
@@ -103,7 +108,11 @@ class EndToEndSpec extends SparkSpec {
     assert(trie.numAggregates > 0)
     // the cached cells should overwhelmingly come from hot polygons' coverings
     val hotCells = hot.flatMap(i => Covering.exterior(TestData.polys(i), 17)).map(_.id).toSet
-    val cached   = trie.aggregatedCells.map(_.id)
+    val cached   = v2.stats.entries.map(_.cell).filter { c =>
+      val node = trie.nodeOf(c)
+      node >= 0 && trie.aggOrNull(node) != null
+    }.map(_.id)
+    assert(cached.length == trie.numAggregates)
     val inHot    = cached.count(hotCells.contains)
     assert(inHot >= cached.length * 0.8, s"only $inHot/${cached.length} cached cells are hot")
   }

@@ -60,11 +60,8 @@ class CellIdSpec extends SparkSpec {
         case Seq((_, hi1), (lo2, _)) => assert(lo2 == hi1 + 2) // parent sentinel ids sit between
         case _                       =>
       }
-      // child(i) and childIndexAt agree
-      kids.zipWithIndex.foreach { case (k, i) =>
-        assert(k.childIndexAt(level + 1) == i)
-        assert(cell.child(i).id == k.id)
-      }
+      // child(i) and children agree
+      kids.zipWithIndex.foreach { case (k, i) => assert(cell.child(i).id == k.id) }
     }
   }
 
@@ -170,6 +167,20 @@ class CellIdSpec extends SparkSpec {
     val key = CellId.leafKey(lon, lat)
     val pos = Hilbert.xy2d(30, CellId.xCoord(lon), CellId.yCoord(lat))
     assert(key == ((pos << 1) | 1L))
+  }
+
+  test("leafKey accepts the world's edges") {
+    assert(CellId.leafKey(-180, -90) == CellId.fromPoint(-180, -90).id)
+    assert(CellId.leafKey(180, 90) == CellId.fromPoint(180, 90).id)
+  }
+
+  test("leafKey rejects NaN, infinite and out-of-world coordinates by value") {
+    Seq((Double.NaN, 40.0, "lon=NaN"), (-73.0, Double.NaN, "lat=NaN"),
+        (Double.PositiveInfinity, 40.0, "lon=Infinity"), (-180.5, 40.0, "lon=-180.5"),
+        (-73.0, 90.5, "lat=90.5"), (-73.0, -999.0, "lat=-999.0")).foreach { case (lon, lat, named) =>
+      val e = intercept[IllegalArgumentException](CellId.leafKey(lon, lat))
+      assert(e.getMessage.contains(named), e.getMessage)
+    }
   }
 
   test("coordinate clamping keeps out-of-range points addressable") {

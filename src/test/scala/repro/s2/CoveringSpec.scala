@@ -34,24 +34,6 @@ class CoveringSpec extends SparkSpec {
     }
   }
 
-  test("interior covering is contained in the polygon") {
-    val cells = Covering.interior(quad, 16)
-    assert(cells.nonEmpty)
-    cells.foreach { c =>
-      val b = c.bounds
-      randomPointsIn(b, 30, c.id).foreach(p => assert(quad.contains(p), s"$p of cell $c outside"))
-    }
-  }
-
-  test("interior covering is a subset of the exterior covering's area") {
-    val ext = Covering.exterior(quad, 14)
-    val int = Covering.interior(quad, 14)
-    int.foreach { ic =>
-      assert(ext.exists(ec => ec.contains(ic) || ic.contains(ec) || ec.id == ic.id),
-        s"interior cell $ic not inside exterior covering")
-    }
-  }
-
   test("minLevel splits fully-contained coarse cells") {
     val cells = Covering.exterior(quad, 16, minLevel = 15)
     assert(cells.forall(c => c.level >= 15 && c.level <= 16))
