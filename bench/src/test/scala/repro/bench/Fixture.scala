@@ -1,11 +1,12 @@
-package repro.experiments
+package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
-import repro.SynthData
+import repro.{SparkSpec, SynthData}
 import repro.baselines.{BTreeIndex, BinarySearchIndex, PHTree, RTree}
+import repro.bench.BenchSpec.{sink, timeMs}
 import repro.core._
-import repro.geo.{BBox, Polygon, PolygonIndex}
+import repro.geo.{BBox, Polygon}
 import repro.s2.{CellId, Covering}
 import repro.workload.Neighborhoods
 
@@ -25,9 +26,10 @@ object PreparedQuery {
     PreparedQuery(poly, Covering.exterior(poly, level), Covering.interiorRect(poly))
 }
 
-/** Shared evaluation fixture: the synthetic taxi data run through the
-  * Spark extract-and-reorganize phase once, the neighborhood polygons,
-  * and lazily-built engines at the paper's default block level 17.
+/** Shared evaluation fixture: the synthetic taxi data at SF=0.1 run
+  * through the Spark extract-and-reorganize phase once, the neighborhood
+  * polygons, and lazily-built engines at the paper's default block
+  * level 17.
   *
   * `sortMs` is the measured wall time of the Spark sorting phase (key
   * assignment + sort + collect into the columnar layout) — the "Sorting"
@@ -35,14 +37,14 @@ object PreparedQuery {
   * is generated and cached before the timer starts, so data generation
   * is not part of it.
   */
-final class Fixture(val spark: SparkSession, val sf: Double) {
+final class Fixture(spark: SparkSession) {
 
   val valueCols: Seq[String] = SynthData.TaxiValueCols
 
   val (raw: RawColumns, sortMs: Double) = {
-    val points = SynthData.taxiTrips(spark, sf).persist(StorageLevel.MEMORY_ONLY)
+    val points = SynthData.taxiTrips(spark, Fixture.Sf).persist(StorageLevel.MEMORY_ONLY)
     points.count()
-    try Harness.timeMs(GeoBlockSpark.extractAndReorganize(points, valueCols))
+    try timeMs(GeoBlockSpark.extractAndReorganize(points, valueCols))
     finally points.unpersist()
   }
 
@@ -57,36 +59,39 @@ final class Fixture(val spark: SparkSession, val sf: Double) {
     ps.map(PreparedQuery(_, level)).toIndexedSeq
 
   lazy val (block: GeoBlock, blockBuildMs: Double) =
-    Harness.timeMs(GeoBlock.buildFromSorted(raw, DefaultLevel))
+    timeMs(GeoBlock.buildFromSorted(raw, DefaultLevel))
 
   def blockAt(level: Int): GeoBlock = GeoBlock.buildFromSorted(raw, level)
 
   lazy val (binarySearch: BinarySearchIndex, binarySearchBuildMs: Double) =
-    Harness.timeMs(new BinarySearchIndex(raw))
+    timeMs(new BinarySearchIndex(raw))
 
   lazy val (btree: BTreeIndex, btreeBuildMs: Double) =
-    Harness.timeMs(new BTreeIndex(raw))
+    timeMs(new BTreeIndex(raw))
 
   lazy val (phtree: PHTree, phtreeBuildMs: Double) =
-    Harness.timeMs(new PHTree(raw))
+    timeMs(new PHTree(raw))
 
   lazy val (rtree: RTree, rtreeBuildMs: Double) =
-    Harness.timeMs(new RTree(raw))
+    timeMs(new RTree(raw))
 
-  /** Exact per-polygon point counts (ground truth for relative error),
-    * via the grid-bucketed polygon locator.
+  /** Exact per-polygon point counts (ground truth for relative error):
+    * the points under each polygon's exterior covering that lie inside
+    * it. The covering contains the polygon, so no point inside is missed.
     */
-  lazy val exactCounts: Array[Long] = {
-    val idx = new PolygonIndex(polys)
-    val out = new Array[Long](polys.length)
-    var i = 0
-    while (i < raw.size) {
-      val p = idx.locate(raw.lons(i), raw.lats(i))
-      if (p >= 0) out(p) += 1
-      i += 1
+  lazy val exactCounts: Array[Long] = polys.indices.map { i =>
+    val poly = polys(i)
+    var n = 0L
+    preparedBase(i).cells.foreach { c =>
+      val (from, until) = raw.rangeOf(c)
+      var j = from
+      while (j < until) {
+        if (poly.containsXY(raw.lons(j), raw.lats(j))) n += 1
+        j += 1
+      }
     }
-    out
-  }
+    n
+  }.toArray
 
   // ---- engine query closures over prepared (cell-based) queries ----
 
@@ -131,28 +136,16 @@ final class Fixture(val spark: SparkSession, val sf: Double) {
     */
   def runWorkload(engine: PreparedQuery => Double, queries: Seq[PreparedQuery]): Double = {
     var acc = 0.0
-    val (_, ms) = Harness.timeMs { queries.foreach(q => acc += engine(q)) }
-    Harness.sink += acc
+    val (_, ms) = timeMs { queries.foreach(q => acc += engine(q)) }
+    sink += acc
     ms
   }
 }
 
 object Fixture {
-  /** Bench scale factor: SF=0.1 (~1.2 M points) unless overridden via
-    * -Drepro.sf.
-    */
-  def benchSf: Double = sys.props.get("repro.sf").map(_.toDouble).getOrElse(0.1)
+  /** Bench scale factor: ~1.2 M points, the paper's 12 M rides ÷ 10. */
+  val Sf = 0.1
 
-  private var cached: Option[(Double, Fixture)] = None
-
-  /** One fixture per (JVM, sf) — benches share the sorted data. */
-  def forSpark(spark: SparkSession, sf: Double): Fixture = synchronized {
-    cached match {
-      case Some((s, f)) if s == sf => f
-      case _ =>
-        val f = new Fixture(spark, sf)
-        cached = Some((sf, f))
-        f
-    }
-  }
+  /** One fixture per JVM — benches share the sorted data. */
+  lazy val shared: Fixture = new Fixture(SparkSpec.shared)
 }

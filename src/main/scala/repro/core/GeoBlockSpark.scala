@@ -52,16 +52,23 @@ object GeoBlockSpark {
       .bitwiseOR(lit(1L << shift))
   }
 
+  /** The failure of either build path on a null value: SQL's MIN, MAX
+    * and SUM would skip it while its point still counts.
+    */
+  private def nullValue(c: String, where: String): IllegalArgumentException =
+    new IllegalArgumentException(s"null value: $c=null at $where")
+
   /** CellBlock headers as a DataFrame: one row per non-empty block-level
-    * cell with count and MIN/MAX/SUM per value column. Output columns:
-    * cell, cnt, min_/max_/sum_<col>.
+    * cell with count and, per value column, its non-null count and
+    * MIN/MAX/SUM. Output columns: cell, cnt, n_/min_/max_/sum_<col>.
     */
   def headerDF(pointsWithKey: DataFrame, level: Int, valueCols: Seq[String]): DataFrame = {
     val aggs: Seq[Column] =
       count(lit(1)).as("cnt") +:
         valueCols.flatMap { c =>
           val v = col(c).cast(DoubleType)
-          Seq(min(v).as(s"min_$c"), max(v).as(s"max_$c"), sum(v).as(s"sum_$c"))
+          Seq(count(v).as(s"n_$c"), min(v).as(s"min_$c"), max(v).as(s"max_$c"),
+              sum(v).as(s"sum_$c"))
         }
     pointsWithKey
       .groupBy(blockKeyExpr(col(KeyCol), level).as("cell"))
@@ -69,7 +76,9 @@ object GeoBlockSpark {
   }
 
   /** Collects a header DataFrame into the driver-resident [[GeoBlock]].
-    * Offsets are the exclusive running sum of the counts in cell order.
+    * Offsets are the exclusive running sum of the counts in cell order. A
+    * cell holding a null value fails with an `IllegalArgumentException`
+    * naming its column.
     */
   def collectBlock(header: DataFrame, level: Int, valueCols: Seq[String]): GeoBlock = {
     val rows  = header.sort("cell").collect()
@@ -91,6 +100,8 @@ object GeoBlockSpark {
       offset += cnts(i)
       var c = 0
       while (c < nCols) {
+        if (r.getAs[Long](s"n_${valueCols(c)}") != cnts(i))
+          throw nullValue(valueCols(c), s"cell=${keys(i)}")
         mins(c)(i) = r.getAs[Double](s"min_${valueCols(c)}")
         maxs(c)(i) = r.getAs[Double](s"max_${valueCols(c)}")
         sums(c)(i) = r.getAs[Double](s"sum_${valueCols(c)}")
@@ -103,7 +114,8 @@ object GeoBlockSpark {
 
   /** Collects the sorted columnar raw data to the driver — the substrate
     * every driver-side structure (GeoBlock single-pass build and all
-    * baselines) is built from.
+    * baselines) is built from. A null value fails with an
+    * `IllegalArgumentException` naming its column.
     */
   def extractAndReorganize(points: DataFrame, valueCols: Seq[String],
                            lonCol: String = "lon", latCol: String = "lat"): RawColumns = {
@@ -122,7 +134,12 @@ object GeoBlockSpark {
       lons(i) = r.getDouble(1)
       lats(i) = r.getDouble(2)
       var c = 0
-      while (c < valueCols.length) { vals(c)(i) = r.getDouble(3 + c); c += 1 }
+      while (c < valueCols.length) {
+        if (r.isNullAt(3 + c))
+          throw nullValue(valueCols(c), s"$KeyCol=${keys(i)}")
+        vals(c)(i) = r.getDouble(3 + c)
+        c += 1
+      }
       i += 1
     }
     new RawColumns(keys, lons, lats, valueCols.toArray, vals)

@@ -6,36 +6,32 @@ import scala.collection.mutable.ArrayBuffer
 /** Polygon-to-cell coverings — the analog of S2RegionCoverer.
   *
   * An *exterior* covering is a set of disjoint cells whose union contains
-  * the polygon: cells fully inside are kept as coarse as `minLevel`
-  * allows, boundary cells are subdivided down to `maxLevel` and kept.
-  * This is the only step of the GeoBlocks query pipeline that introduces
-  * error, and the error is bounded by the diagonal of a `maxLevel` cell.
+  * the polygon: cells fully inside are kept as coarse as possible,
+  * boundary cells are subdivided down to `maxLevel` and kept. This is the
+  * only step of the GeoBlocks query pipeline that introduces error, and
+  * the error is bounded by the diagonal of a `maxLevel` cell.
   */
 object Covering {
 
-  /** Exterior covering with cells of level in [minLevel, maxLevel]. */
-  def exterior(poly: Polygon, maxLevel: Int, minLevel: Int = 0): IndexedSeq[CellId] =
-    cover(poly, maxLevel, minLevel)
-
-  private def cover(poly: Polygon, maxLevel: Int, minLevel: Int): IndexedSeq[CellId] = {
-    require(maxLevel >= minLevel && maxLevel <= CellId.MaxLevel)
-    val out  = ArrayBuffer.empty[CellId]
-    val root = startCell(poly.bbox, maxLevel)
-    def recurseChildren(cell: CellId): Unit = {
-      var i = 0
-      while (i < 4) { recurse(cell.child(i)); i += 1 }
-    }
+  /** Exterior covering with cells of level at most `maxLevel`, in
+    * ascending id order: the pre-order walk visits `child(0..3)`, whose
+    * id ranges ascend and are disjoint, so the cells come out sorted.
+    */
+  def exterior(poly: Polygon, maxLevel: Int): IndexedSeq[CellId] = {
+    require(maxLevel >= 0 && maxLevel <= CellId.MaxLevel)
+    val out = ArrayBuffer.empty[CellId]
     def recurse(cell: CellId): Unit = poly.relateBox(cell.bounds) match {
-      case BoxRelation.Disjoint => ()
-      case BoxRelation.ContainsBox =>
-        if (cell.level >= minLevel) out += cell
-        else recurseChildren(cell)
+      case BoxRelation.Disjoint    => ()
+      case BoxRelation.ContainsBox => out += cell
       case BoxRelation.Intersects =>
         if (cell.level >= maxLevel) out += cell
-        else recurseChildren(cell)
+        else {
+          var i = 0
+          while (i < 4) { recurse(cell.child(i)); i += 1 }
+        }
     }
-    recurse(root)
-    out.sortBy(_.id).toIndexedSeq
+    recurse(startCell(poly.bbox, maxLevel))
+    out.toIndexedSeq
   }
 
   /** Smallest single cell containing the box, capped at `maxLevel`. */
@@ -48,9 +44,10 @@ object Covering {
 
   /** Largest axis-aligned rectangle inside the polygon found by shrinking
     * its bounding box toward the bbox center — the "interior rectangle"
-    * the paper feeds to the PHTree/RTree baselines.
+    * the paper feeds to the PHTree/RTree baselines. The scale is
+    * bisected 24 times.
     */
-  def interiorRect(poly: Polygon, steps: Int = 24): BBox = {
+  def interiorRect(poly: Polygon): BBox = {
     def inside(b: BBox): Boolean = poly.relateBox(b) == BoxRelation.ContainsBox
     var lo = 0.0 // known-inside scale (0 = degenerate point at center)
     var hi = 1.0
@@ -70,7 +67,7 @@ object Covering {
       BBox(c.x - hw, c.y - hh, c.x + hw, c.y + hh)
     }
     var i = 0
-    while (i < steps) {
+    while (i < 24) {
       val mid = (lo + hi) / 2
       if (inside(boxAt(mid))) lo = mid else hi = mid
       i += 1

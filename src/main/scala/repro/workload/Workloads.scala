@@ -32,27 +32,33 @@ object Workloads {
     eight.take(k)
   }
 
+  /** Fraction of the polygons a skewed run queries, and the seed of
+    * their selection.
+    */
+  private val SkewFrac = 0.1
+  private val SkewSeed = 11L
+
   /** Indices of the skewed 10% selection (uniform without replacement). */
-  def skewedIndices(numPolys: Int, frac: Double = 0.1, seed: Long = 11): IndexedSeq[Int] = {
-    val k = math.max(1, math.round(numPolys * frac).toInt)
-    new Random(seed).shuffle((0 until numPolys).toVector).take(k).sorted
+  def skewedIndices(numPolys: Int): IndexedSeq[Int] = {
+    val k = math.max(1, math.round(numPolys * SkewFrac).toInt)
+    new Random(SkewSeed).shuffle((0 until numPolys).toVector).take(k).sorted
   }
 
   /** base + k repetitions of the skewed run, as polygon indices in query
     * order (base first, then the skewed runs — the paper's protocol).
     */
-  def combined(numPolys: Int, skewRuns: Int, frac: Double = 0.1,
-               seed: Long = 11): IndexedSeq[Int] = {
-    val skew = skewedIndices(numPolys, frac, seed)
+  def combined(numPolys: Int, skewRuns: Int): IndexedSeq[Int] = {
+    val skew = skewedIndices(numPolys)
     (0 until numPolys) ++ Seq.fill(skewRuns)(skew).flatten
   }
 
   /** A rectangle polygon around the data centroid containing approximately
     * `frac` of the points, found by binary search on the rectangle scale
-    * (monotone). Returns the polygon and the selectivity it achieves.
+    * (monotone, 40 halvings). Returns the polygon and the selectivity it
+    * achieves.
     */
   def selectivityRect(lons: Array[Double], lats: Array[Double],
-                      frac: Double, steps: Int = 40): (Polygon, Double) = {
+                      frac: Double): (Polygon, Double) = {
     require(lons.length == lats.length && lons.nonEmpty)
     val n  = lons.length
     val cx = lons.sum / n
@@ -75,7 +81,7 @@ object Workloads {
     var lo = 0.0
     var hi = 1.0
     var i  = 0
-    while (i < steps) {
+    while (i < 40) {
       val mid = (lo + hi) / 2
       if (countIn(mid).toDouble / n < frac) lo = mid else hi = mid
       i += 1

@@ -33,10 +33,11 @@ class GeoBlockSparkSpec extends SparkSpec {
     assert(total == points.count())
   }
 
-  /** A valid point followed by one with the given coordinates. */
-  private def withBadPoint(lon: java.lang.Double, lat: java.lang.Double): DataFrame =
+  /** A valid point followed by one with the given coordinates and value. */
+  private def withBadPoint(lon: java.lang.Double, lat: java.lang.Double,
+                           v: java.lang.Double = 2.0): DataFrame =
     spark.createDataFrame(
-      java.util.Arrays.asList(Row(-73.98, 40.75, 1.0), Row(lon, lat, 2.0)),
+      java.util.Arrays.asList(Row(-73.98, 40.75, 1.0), Row(lon, lat, v)),
       StructType(Seq("lon", "lat", "v").map(StructField(_, DoubleType))))
 
   /** Messages of the failure and all its causes. */
@@ -59,6 +60,9 @@ class GeoBlockSparkSpec extends SparkSpec {
       val text = failureText(GeoBlockSpark.extractAndReorganize(withBadPoint(lon, lat), Seq("v")))
       assert(text.contains("IllegalArgumentException") && text.contains(named), text)
     }
+    val text = failureText(
+      GeoBlockSpark.extractAndReorganize(withBadPoint(-73.98, 40.75, null), Seq("v")))
+    assert(text.contains("IllegalArgumentException") && text.contains("null value: v=null"), text)
   }
 
   test("collectBlock(headerDF) rejects NaN, out-of-world and null coordinates by value") {
@@ -68,5 +72,11 @@ class GeoBlockSparkSpec extends SparkSpec {
         GeoBlockSpark.collectBlock(GeoBlockSpark.headerDF(keyed, 15, Seq("v")), 15, Seq("v")))
       assert(text.contains("IllegalArgumentException") && text.contains(named), text)
     }
+    // SQL's MIN/MAX/SUM would skip a null value while COUNT kept its
+    // point; the header must not be built at all.
+    val keyed = GeoBlockSpark.withLeafKey(withBadPoint(-73.98, 40.75, null))
+    val text  = failureText(
+      GeoBlockSpark.collectBlock(GeoBlockSpark.headerDF(keyed, 15, Seq("v")), 15, Seq("v")))
+    assert(text.contains("IllegalArgumentException") && text.contains("null value: v=null"), text)
   }
 }

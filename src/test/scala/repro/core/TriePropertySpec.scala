@@ -1,27 +1,16 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop, Test}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-import repro.{SparkSpec, SynthData, TestData}
+import org.scalacheck.{Gen, Prop}
+import repro.{PropertyChecks, SparkSpec, SynthData, TestData}
 import repro.s2.CellId
 import repro.workload.Workloads
 
 /** Generated checks of both tries against plain `Map` models, and of the
   * adapted (V2) SELECT against the basic (V1) one.
   */
-class TriePropertySpec extends SparkSpec {
+class TriePropertySpec extends SparkSpec with PropertyChecks {
 
   private val root = CellId.fromPoint(-73.9, 40.75, 8)
-
-  /** Runs a property from a fixed seed so failures reproduce. */
-  private def check(p: Prop, minSuccessful: Int = 100): Unit = {
-    val params = Test.Parameters.default
-      .withMinSuccessfulTests(minSuccessful)
-      .withInitialSeed(Seed(20210323L))
-    val res = Test.check(params, p)
-    assert(res.passed, Pretty.prettyTestRes(res)(Pretty.defaultParams))
-  }
 
   /** A cell 1 to 6 levels below `under`; shallow paths make repeats and
     * shared prefixes common.

@@ -34,11 +34,6 @@ class CoveringSpec extends SparkSpec {
     }
   }
 
-  test("minLevel splits fully-contained coarse cells") {
-    val cells = Covering.exterior(quad, 16, minLevel = 15)
-    assert(cells.forall(c => c.level >= 15 && c.level <= 16))
-  }
-
   test("maxLevel bounds the error: covering area shrinks toward polygon area") {
     def coveringAreaDeg(cells: Seq[CellId]): Double =
       cells.map { c => val b = c.bounds; b.width * b.height }.sum

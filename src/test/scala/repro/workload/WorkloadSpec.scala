@@ -2,7 +2,7 @@ package repro.workload
 
 import repro.{SparkSpec, TestData}
 import repro.core.{AggFunc, AggSpec}
-import repro.geo.{Pt, PolygonIndex}
+import repro.geo.Pt
 
 class WorkloadSpec extends SparkSpec {
 
@@ -32,30 +32,15 @@ class WorkloadSpec extends SparkSpec {
 
   test("every interior point belongs to at least one neighborhood") {
     val polys = Neighborhoods.generate()
-    val idx   = new PolygonIndex(polys)
     val rnd   = new scala.util.Random(31)
     val b     = Neighborhoods.Bounds
     var found = 0
     for (_ <- 1 to 2000) {
       val p = Pt(b.minX + rnd.nextDouble() * b.width, b.minY + rnd.nextDouble() * b.height)
-      if (idx.locate(p.x, p.y) >= 0) found += 1
+      if (polys.exists(_.contains(p))) found += 1
     }
     // boundary points can fall through ray-casting ties; demand near-total coverage
     assert(found >= 1995, s"covered only $found/2000")
-  }
-
-  test("PolygonIndex locate agrees with direct containment checks") {
-    val polys = Neighborhoods.generate()
-    val idx   = new PolygonIndex(polys)
-    val rnd   = new scala.util.Random(33)
-    val b     = Neighborhoods.Bounds
-    for (_ <- 1 to 500) {
-      val x = b.minX + rnd.nextDouble() * b.width
-      val y = b.minY + rnd.nextDouble() * b.height
-      val li = idx.locate(x, y)
-      if (li >= 0) assert(polys(li).contains(Pt(x, y)))
-      else assert(!polys.exists(_.contains(Pt(x, y))))
-    }
   }
 
   test("skewed selection picks 10% deterministically") {
