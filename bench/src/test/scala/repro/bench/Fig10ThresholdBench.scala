@@ -67,6 +67,11 @@ object Fig10ThresholdBench {
   /** Skewed runs appended to the base workload. */
   val SkewRuns = 4
 
+  /** Passes over a workload part per timed sample: one pass of the skew
+    * part takes about 1 ms, too short for a stable median.
+    */
+  val Passes = 30
+
   final case class Result(v1BaseMs: Double, v1SkewMs: Double, rows: Seq[Row],
                           totalCandidates: Int)
 
@@ -76,8 +81,12 @@ object Fig10ThresholdBench {
     val skewPart: Seq[PreparedQuery] =
       Seq.fill(SkewRuns)(Workloads.skewedIndices(fx.polys.length).map(fx.preparedBase)).flatten
 
-    val v1BaseMs = medianOf(Reps)(fx.runWorkload(fx.v1Select(fx.block, specs), base))
-    val v1SkewMs = medianOf(Reps)(fx.runWorkload(fx.v1Select(fx.block, specs), skewPart))
+    // Milliseconds per pass over a part, timed over `Passes` passes.
+    def perPass(engine: PreparedQuery => Double, part: Seq[PreparedQuery]): Double =
+      medianOf(Reps)(fx.runWorkload(engine, Seq.fill(Passes)(part).flatten)) / Passes
+
+    val v1BaseMs = perPass(fx.v1Select(fx.block, specs), base)
+    val v1SkewMs = perPass(fx.v1Select(fx.block, specs), skewPart)
 
     var candidates = 0
     val rows = Thresholds.map { th =>
@@ -85,8 +94,8 @@ object Fig10ThresholdBench {
       (base ++ skewPart).foreach(q => v2.selectCells(q.cells, specs))
       candidates = v2.stats.candidates.count(_.cell.level <= fx.block.blockLevel)
       val trie = v2.buildAggregateTrie(th)
-      val v2BaseMs = medianOf(Reps)(fx.runWorkload(fx.v2Select(v2, specs), base))
-      val v2SkewMs = medianOf(Reps)(fx.runWorkload(fx.v2Select(v2, specs), skewPart))
+      val v2BaseMs = perPass(fx.v2Select(v2, specs), base)
+      val v2SkewMs = perPass(fx.v2Select(v2, specs), skewPart)
       Row(th * 100, v2BaseMs, v2SkewMs, trie.numAggregates)
     }
     Result(v1BaseMs, v1SkewMs, rows, candidates)

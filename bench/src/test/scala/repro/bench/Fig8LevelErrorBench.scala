@@ -85,7 +85,7 @@ object Fig8LevelErrorBench {
       val errs = fx.polys.indices.flatMap { i =>
         if (exact(i) < minCount) None
         else {
-          val measured = prepared(i).cells.map(block.countCell).sum
+          val measured = block.selectCells(prepared(i).cells, Array.empty).count
           Some(math.abs(measured - exact(i)).toDouble / exact(i))
         }
       }

@@ -97,17 +97,7 @@ final class Fixture(spark: SparkSession) {
 
   def v1Select(block: GeoBlock, specs: Seq[AggSpec]): PreparedQuery => Double = {
     val cols = AggSpec.neededCols(specs)
-    if (specs.forall(_.func == AggFunc.Count)) {
-      // COUNT-only queries take the paper's specialized fast path: only
-      // the first and last contained CellBlock per query cell.
-      q => {
-        var t = 0L
-        q.cells.foreach(t += block.countCell(_))
-        t.toDouble * specs.length
-      }
-    } else {
-      q => block.selectCells(q.cells, cols).extractAll(specs).sum
-    }
+    q => block.selectCells(q.cells, cols).extractAll(specs).sum
   }
 
   def v2Select(v2: AdaptiveGeoBlock, specs: Seq[AggSpec]): PreparedQuery => Double =

@@ -9,19 +9,19 @@ import scala.collection.mutable.ArrayBuffer
   * The leaf level is the input key array itself; `lowerBound` descends
   * from the root and returns the position of the first key >= the probe.
   */
-final class BPlusTree(keys: Array[Long], val fanout: Int = 16) {
-  require(fanout >= 2)
+final class BPlusTree(keys: Array[Long]) {
+  import BPlusTree.Fanout
 
   // levels(0) = separators over the leaves, levels(i+1) over levels(i).
   // Each internal level stores the first key of every child group.
   private val levels: Array[Array[Long]] = {
     val out  = ArrayBuffer.empty[Array[Long]]
     var cur  = keys
-    while (cur.length > fanout) {
-      val n    = (cur.length + fanout - 1) / fanout
+    while (cur.length > Fanout) {
+      val n    = (cur.length + Fanout - 1) / Fanout
       val next = new Array[Long](n)
       var i = 0
-      while (i < n) { next(i) = cur(i * fanout); i += 1 }
+      while (i < n) { next(i) = cur(i * Fanout); i += 1 }
       out += next
       cur = next
     }
@@ -39,30 +39,31 @@ final class BPlusTree(keys: Array[Long], val fanout: Int = 16) {
     * (keys.length if none) — found by root-to-leaf descent.
     */
   def lowerBound(probe: Long): Int = {
-    if (keys.isEmpty) return 0
     // Start at the top level: scan within the root node.
     var lvl   = levels.length - 1
     var child = 0 // index into current level's array
     while (lvl >= 0) {
       val arr = levels(lvl)
-      val end = math.min(child + fanout, arr.length)
-      // Last separator <= probe selects the child to descend into.
+      val end = math.min(child + Fanout, arr.length)
+      // The last child whose first key is < probe holds the last key
+      // < probe, so the first key >= probe is in it or starts the next
+      // child. If there is none (only at the root), descend leftmost.
       var i = child
       var sel = child
-      while (i < end && arr(i) <= probe) { sel = i; i += 1 }
-      // If probe is smaller than every separator, descend leftmost.
-      child = sel * fanout
+      while (i < end && arr(i) < probe) { sel = i; i += 1 }
+      child = sel * Fanout
       lvl -= 1
     }
-    // child is now a position in the leaf (key) array; linear scan the node
-    // then adjust backwards for duplicates straddling the node boundary.
-    var pos = math.min(child, keys.length)
-    val end = math.min(pos + fanout, keys.length)
+    // child is now a position in the leaf (key) array: scan its node. If
+    // every key there is < probe, the next node's first key is >= probe.
+    var pos = child
+    val end = math.min(pos + Fanout, keys.length)
     while (pos < end && keys(pos) < probe) pos += 1
-    // The separator choice can land one node early/late on duplicates;
-    // fix up with local scans (bounded, keeps the access path tree-shaped).
-    while (pos > 0 && keys(pos - 1) >= probe) pos -= 1
-    while (pos < keys.length && keys(pos) < probe) pos += 1
     pos
   }
+}
+
+object BPlusTree {
+  /** Children per inner node and keys per leaf node. */
+  val Fanout = 16
 }

@@ -8,9 +8,9 @@ import repro.s2.CellId
   * the cell's first contained key, then scanning the sorted raw data
   * forward until no further tuple qualifies (the paper's description).
   */
-final class BTreeIndex(val raw: RawColumns, fanout: Int = 16) {
+final class BTreeIndex(val raw: RawColumns) {
 
-  val tree = new BPlusTree(raw.keys, fanout)
+  val tree = new BPlusTree(raw.keys)
 
   def sizeBytes: Long = tree.sizeBytes
 

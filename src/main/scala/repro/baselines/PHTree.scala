@@ -11,7 +11,7 @@ import repro.s2.CellId
   * and like all on-the-fly baselines it aggregates raw tuples at query
   * time. Points are permuted so every subtree owns a contiguous range.
   */
-final class PHTree(val raw: RawColumns, bucketCap: Int = 64) {
+final class PHTree(val raw: RawColumns) {
 
   private val n  = raw.size
   private val xs = new Array[Long](n)
@@ -41,7 +41,7 @@ final class PHTree(val raw: RawColumns, bucketCap: Int = 64) {
 
   private def build(from: Int, until: Int, x0: Long, y0: Long, size: Long): Node = {
     nodeCount += 1
-    if (until - from <= bucketCap || size <= 1) return Leaf(from, until)
+    if (until - from <= PHTree.BucketCap || size <= 1) return Leaf(from, until)
     val half = size / 2
     val mx   = x0 + half
     val my   = y0 + half
@@ -119,4 +119,9 @@ final class PHTree(val raw: RawColumns, bucketCap: Int = 64) {
     visit(root, 0L, 0L, 1L << CellId.MaxLevel)
     st
   }
+}
+
+object PHTree {
+  /** Points per leaf bucket. */
+  val BucketCap = 64
 }

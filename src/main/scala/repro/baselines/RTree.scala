@@ -10,7 +10,7 @@ import repro.geo.BBox
   * MBR is fully enclosed — only boundary leaves touch raw points. Like
   * the paper, this baseline reports counts only.
   */
-final class RTree(val raw: RawColumns, nodeCap: Int = 16) {
+final class RTree(val raw: RawColumns) {
 
   sealed trait Node {
     def mbr: BBox
@@ -45,11 +45,11 @@ final class RTree(val raw: RawColumns, nodeCap: Int = 16) {
     // STR: sort by x, cut into vertical slabs, sort each slab by y, chunk.
     val n      = raw.size
     val byX    = Array.range(0, n).sortBy(raw.lons(_))
-    val nLeaf  = math.max(1, (n + nodeCap - 1) / nodeCap)
+    val nLeaf  = math.max(1, (n + RTree.NodeCap - 1) / RTree.NodeCap)
     val nSlabs = math.max(1, math.ceil(math.sqrt(nLeaf.toDouble)).toInt)
     val slabSz = math.max(1, (n + nSlabs - 1) / nSlabs)
     val leaves = byX.grouped(slabSz).flatMap { slab =>
-      slab.sortBy(raw.lats(_)).grouped(nodeCap).map { rows =>
+      slab.sortBy(raw.lats(_)).grouped(RTree.NodeCap).map { rows =>
         nodeCount += 1
         LeafNode(mbrOf(rows), rows): Node
       }
@@ -57,7 +57,7 @@ final class RTree(val raw: RawColumns, nodeCap: Int = 16) {
     // Pack upward until a single root remains.
     var level: Array[Node] = leaves
     while (level.length > 1) {
-      level = level.grouped(nodeCap).map { ch =>
+      level = level.grouped(RTree.NodeCap).map { ch =>
         nodeCount += 1
         InnerNode(union(ch.toSeq.map(_.mbr)), ch.map(_.count).sum, ch): Node
       }.toArray
@@ -95,4 +95,9 @@ final class RTree(val raw: RawColumns, nodeCap: Int = 16) {
     }
     if (raw.size == 0) 0L else visit(root)
   }
+}
+
+object RTree {
+  /** Entries per node. */
+  val NodeCap = 16
 }

@@ -14,7 +14,8 @@ import repro.s2.{CellId, Covering}
 final class AdaptiveGeoBlock(val block: GeoBlock) {
 
   val stats: StatsTrie = StatsTrie.forBlock(block)
-  private var trie: Option[AggregateTrie] = None
+  // Empty until buildAggregateTrie replaces it: every probe misses.
+  private var trie = new AggregateTrie(stats.rootCell, block.nCols)
 
   /** Builds the AggregateTrie from the statistics collected so far. The
     * threshold is the allowed size as a fraction of the GeoBlock header
@@ -36,7 +37,7 @@ final class AdaptiveGeoBlock(val block: GeoBlock) {
       }
       i += 1
     }
-    trie = Some(t)
+    trie = t
     t
   }
 
@@ -47,23 +48,18 @@ final class AdaptiveGeoBlock(val block: GeoBlock) {
     */
   private def selectCellAdapted(cell: CellId, cols: Array[Int], into: AggState): Unit = {
     if (!block.mayOverlap(cell)) return
-    trie match {
-      case None => block.selectCellInto(cell, cols, into)
-      case Some(t) =>
-        val node = t.nodeOf(cell)
-        if (node < 0) { block.selectCellInto(cell, cols, into); return }
-        val agg = t.aggOrNull(node)
-        if (agg != null) into.mergeFrom(agg, cols)
-        else if (cell.level < block.blockLevel) {
-          var i = 0
-          while (i < 4) {
-            val ca = t.childAggOrNull(node, i)
-            if (ca != null) into.mergeFrom(ca, cols)
-            else block.selectCellInto(cell.child(i), cols, into)
-            i += 1
-          }
-        } else block.selectCellInto(cell, cols, into)
-    }
+    val node = trie.nodeOf(cell)
+    val agg  = if (node < 0) null else trie.aggOrNull(node)
+    if (agg != null) into.mergeFrom(agg, cols)
+    else if (node >= 0 && cell.level < block.blockLevel) {
+      var i = 0
+      while (i < 4) {
+        val ca = trie.childAggOrNull(node, i)
+        if (ca != null) into.mergeFrom(ca, cols)
+        else block.selectCellInto(cell.child(i), cols, into)
+        i += 1
+      }
+    } else block.selectCellInto(cell, cols, into)
   }
 
   /** V2 SELECT over an already-computed covering: records every query

@@ -10,16 +10,14 @@ import repro.s2.{CellId, Covering}
   * the min/max spatial key for the pre-query check (Section 3.2/3.3 of
   * the paper).
   *
-  * The V1 query algorithm lives here: COUNT queries touch only the first
-  * and last contained CellBlock (via offsets); SELECT queries locate the
-  * first CellBlock of each covering cell by binary search and scan
-  * forward, merging aggregates.
+  * The V1 query algorithm lives here: each query cell finds its run of
+  * CellBlocks by binary search, takes COUNT from the run's offsets and
+  * scans the run only for the requested columns.
   */
 final class GeoBlock(
     val blockLevel: Int,
     val columnNames: Array[String],
     val keys: Array[Long],            // block-level cell ids, ascending
-    val offsets: Array[Long],         // first-tuple offset per CellBlock
     val counts: Array[Long],          // tuple count per CellBlock
     val mins: Array[Array[Double]],   // [col][cell]
     val maxs: Array[Array[Double]],
@@ -27,19 +25,23 @@ final class GeoBlock(
 ) {
   val nCols: Int    = columnNames.length
   val numCells: Int = keys.length
-  require(offsets.length == numCells && counts.length == numCells)
+  require(counts.length == numCells)
   require(mins.length == nCols && maxs.length == nCols && sums.length == nCols)
+
+  /** First-tuple offset per CellBlock: the exclusive running sum of the counts. */
+  val offsets: Array[Long] = {
+    val o = new Array[Long](numCells)
+    var i = 1
+    while (i < numCells) { o(i) = o(i - 1) + counts(i - 1); i += 1 }
+    o
+  }
 
   /** Min/max raw spatial key covered — the block-wide pre-query check. */
   val keyMin: Long = if (numCells == 0) Long.MaxValue else CellId(keys(0)).rangeMin
   val keyMax: Long = if (numCells == 0) Long.MinValue else CellId(keys(numCells - 1)).rangeMax
 
   /** Block-wide aggregate over all CellBlocks. */
-  val blockAgg: AggState = {
-    val a = new AggState(nCols)
-    selectCellInto(CellId.World, AggState.allCols(nCols), a)
-    a
-  }
+  val blockAgg: AggState = aggregateOf(CellId.World)
 
   def totalTuples: Long = blockAgg.count
 
@@ -48,17 +50,6 @@ final class GeoBlock(
     */
   def headerSizeBytes: Long =
     numCells.toLong * (8L + 8L + 8L + 24L * nCols) + AggState.storedBytes(nCols) + 16L
-
-  /** First index i with keys(i) >= key (numCells if none). */
-  def lowerBound(key: Long): Int = {
-    var lo = 0
-    var hi = numCells
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (keys(mid) < key) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
 
   /** Pre-query check: can the cell overlap any stored CellBlock? */
   def mayOverlap(cell: CellId): Boolean =
@@ -72,39 +63,38 @@ final class GeoBlock(
   def cellRange(cell: CellId): (Int, Int) = {
     require(cell.level <= blockLevel,
       s"query cell level ${cell.level} exceeds block level $blockLevel")
-    (lowerBound(cell.rangeMin), lowerBound(cell.rangeMax + 1))
+    GeoBlock.keyRange(keys, cell)
   }
 
-  /** COUNT fast path for one query cell: only the first and last contained
-    * CellBlock headers are consulted (offset arithmetic from the paper).
-    */
-  def countCell(cell: CellId): Long = {
-    if (!mayOverlap(cell)) return 0L
-    val (from, until) = cellRange(cell)
-    if (from >= until) 0L
-    else offsets(until - 1) + counts(until - 1) - offsets(from)
-  }
-
-  /** SELECT path for one query cell: scan all contained CellBlocks,
-    * merging their aggregates directly (allocation-free hot loop).
+  /** The per-cell read of V1 and of V2's fallback: COUNT from the first
+    * and last contained CellBlock's offsets (the paper's COUNT rule), then
+    * MIN/MAX/SUM of the requested columns, one column at a time.
     */
   def selectCellInto(cell: CellId, cols: Array[Int], into: AggState): Unit = {
     if (!mayOverlap(cell)) return
     val (from, until) = cellRange(cell)
-    var i = from
-    while (i < until) {
-      into.count += counts(i)
-      var k = 0
-      while (k < cols.length) {
-        val c  = cols(k)
-        val mn = mins(c)(i)
-        val mx = maxs(c)(i)
-        if (mn < into.mins(c)) into.mins(c) = mn
-        if (mx > into.maxs(c)) into.maxs(c) = mx
-        into.sums(c) += sums(c)(i)
-        k += 1
+    if (from >= until) return
+    into.count += offsets(until - 1) + counts(until - 1) - offsets(from)
+    var k = 0
+    while (k < cols.length) {
+      val c  = cols(k)
+      val mn = mins(c)
+      val mx = maxs(c)
+      val sm = sums(c)
+      var lo = into.mins(c)
+      var hi = into.maxs(c)
+      var s  = into.sums(c)
+      var i  = from
+      while (i < until) {
+        if (mn(i) < lo) lo = mn(i)
+        if (mx(i) > hi) hi = mx(i)
+        s += sm(i)
+        i += 1
       }
-      i += 1
+      into.mins(c) = lo
+      into.maxs(c) = hi
+      into.sums(c) = s
+      k += 1
     }
   }
 
@@ -128,14 +118,6 @@ final class GeoBlock(
     val cells = Covering.exterior(poly, blockLevel)
     selectCells(cells, AggSpec.neededCols(specs)).extractAll(specs)
   }
-
-  /** COUNT query over a polygon via the covering + offset fast path. */
-  def count(poly: Polygon): Long = {
-    val cells = Covering.exterior(poly, blockLevel)
-    var total = 0L
-    cells.foreach(total += countCell(_))
-    total
-  }
 }
 
 object GeoBlock {
@@ -147,43 +129,68 @@ object GeoBlock {
     (pos << (shift + 1)) | (1L << shift)
   }
 
+  /** Index range [from, until) of the ascending `sorted` keys that lie in
+    * the cell's descendant range.
+    */
+  private[core] def keyRange(sorted: Array[Long], cell: CellId): (Int, Int) =
+    (lowerBound(sorted, cell.rangeMin), lowerBound(sorted, cell.rangeMax + 1))
+
+  /** First index i with sorted(i) >= key (sorted.length if none). */
+  private def lowerBound(sorted: Array[Long], key: Long): Int = {
+    var lo = 0
+    var hi = sorted.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (sorted(mid) < key) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
   /** Single-pass build over sorted raw data — the paper's build phase
     * (the "Building" column of Table 1). The data must already be sorted
-    * by leaf key (the "Sorting" phase, done in Spark).
+    * by leaf key (the "Sorting" phase, done in Spark); a key below its
+    * predecessor fails with an `IllegalArgumentException` naming the row.
+    * Each cell's values are summed in row order.
     */
   def buildFromSorted(raw: RawColumns, level: Int): GeoBlock = {
-    val n     = raw.size
-    val nCols = raw.nCols
-    val allC  = AggState.allCols(nCols)
-    val keysB    = new scala.collection.mutable.ArrayBuffer[Long]
-    val offsB    = new scala.collection.mutable.ArrayBuffer[Long]
-    val cntB     = new scala.collection.mutable.ArrayBuffer[Long]
-    val minB     = Array.fill(nCols)(new scala.collection.mutable.ArrayBuffer[Double])
-    val maxB     = Array.fill(nCols)(new scala.collection.mutable.ArrayBuffer[Double])
-    val sumB     = Array.fill(nCols)(new scala.collection.mutable.ArrayBuffer[Double])
-
+    val n = raw.size
+    // One pass over the keys finds the cell runs: cell j holds rows
+    // [start(j), start(j + 1)). Sized for one cell per row.
+    val cellKeys = new Array[Long](n)
+    val start    = new Array[Int](n + 1)
+    var m = 0
     var i = 0
     while (i < n) {
-      val cellKey = blockKeyOf(raw.keys(i), level)
-      val start   = i
-      val st      = new AggState(nCols)
-      while (i < n && blockKeyOf(raw.keys(i), level) == cellKey) {
-        st.addTuple(raw.values, i, allC)
-        i += 1
-      }
-      keysB += cellKey
-      offsB += start.toLong
-      cntB  += st.count
-      var c = 0
-      while (c < nCols) {
-        minB(c) += st.mins(c)
-        maxB(c) += st.maxs(c)
-        sumB(c) += st.sums(c)
-        c += 1
-      }
+      if (i > 0 && raw.keys(i) < raw.keys(i - 1))
+        throw new IllegalArgumentException(
+          s"raw keys not ascending at row $i: ${raw.keys(i - 1)} then ${raw.keys(i)}")
+      val k = blockKeyOf(raw.keys(i), level)
+      if (m == 0 || k != cellKeys(m - 1)) { cellKeys(m) = k; start(m) = i; m += 1 }
+      i += 1
     }
-    new GeoBlock(level, raw.columnNames,
-      keysB.toArray, offsB.toArray, cntB.toArray,
-      minB.map(_.toArray), maxB.map(_.toArray), sumB.map(_.toArray))
+    start(m) = n
+    val counts = new Array[Long](m)
+    for (j <- 0 until m) counts(j) = start(j + 1) - start(j)
+    val mins = Array.ofDim[Double](raw.nCols, m)
+    val maxs = Array.ofDim[Double](raw.nCols, m)
+    val sums = Array.ofDim[Double](raw.nCols, m)
+    for (c <- 0 until raw.nCols; j <- 0 until m) {
+      val v  = raw.values(c)
+      var lo = Double.PositiveInfinity
+      var hi = Double.NegativeInfinity
+      var s  = 0.0
+      var r  = start(j)
+      while (r < start(j + 1)) {
+        if (v(r) < lo) lo = v(r)
+        if (v(r) > hi) hi = v(r)
+        s += v(r)
+        r += 1
+      }
+      mins(c)(j) = lo
+      maxs(c)(j) = hi
+      sums(c)(j) = s
+    }
+    new GeoBlock(level, raw.columnNames, java.util.Arrays.copyOf(cellKeys, m), counts,
+      mins, maxs, sums)
   }
 }

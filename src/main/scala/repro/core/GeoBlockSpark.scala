@@ -14,8 +14,7 @@ import repro.s2.CellId
   *   2. [[sortByKey]] is the "Sorting" phase,
   *   3. [[headerDF]] computes the CellBlock headers with a groupBy over
   *      the block-level cell,
-  *   4. [[collectBlock]] materializes the driver-resident [[GeoBlock]],
-  *      deriving the raw-data offsets from the counts in cell order.
+  *   4. [[collectBlock]] materializes the driver-resident [[GeoBlock]].
   *
   * Queries are answered on the driver by [[GeoBlock]] and
   * [[AdaptiveGeoBlock]].
@@ -23,6 +22,10 @@ import repro.s2.CellId
 object GeoBlockSpark {
 
   val KeyCol = "cell_key"
+
+  /** Coordinate columns of the input points. */
+  val LonCol = "lon"
+  val LatCol = "lat"
 
   /** Untyped in its inputs, so Spark passes each coordinate as it is: a
     * null reaches the check instead of becoming a null key, and no value
@@ -36,9 +39,9 @@ object GeoBlockSpark {
   private val leafKeyUdf = udf(leafKey, LongType)
 
   /** Adds the level-30 spatial key column derived from lon/lat. */
-  def withLeafKey(points: DataFrame, lonCol: String = "lon", latCol: String = "lat"): DataFrame =
+  def withLeafKey(points: DataFrame): DataFrame =
     points.withColumn(KeyCol,
-      leafKeyUdf(col(lonCol).cast(DoubleType), col(latCol).cast(DoubleType)))
+      leafKeyUdf(col(LonCol).cast(DoubleType), col(LatCol).cast(DoubleType)))
 
   /** The "Sorting" phase: reorganize by ascending spatial key. */
   def sortByKey(pointsWithKey: DataFrame): DataFrame = pointsWithKey.sort(KeyCol)
@@ -75,29 +78,24 @@ object GeoBlockSpark {
       .agg(aggs.head, aggs.tail: _*)
   }
 
-  /** Collects a header DataFrame into the driver-resident [[GeoBlock]].
-    * Offsets are the exclusive running sum of the counts in cell order. A
-    * cell holding a null value fails with an `IllegalArgumentException`
-    * naming its column.
+  /** Collects a header DataFrame into the driver-resident [[GeoBlock]],
+    * in cell order. A cell holding a null value fails with an
+    * `IllegalArgumentException` naming its column.
     */
   def collectBlock(header: DataFrame, level: Int, valueCols: Seq[String]): GeoBlock = {
     val rows  = header.sort("cell").collect()
     val n     = rows.length
     val nCols = valueCols.length
     val keys  = new Array[Long](n)
-    val offs  = new Array[Long](n)
     val cnts  = new Array[Long](n)
     val mins  = Array.fill(nCols)(new Array[Double](n))
     val maxs  = Array.fill(nCols)(new Array[Double](n))
     val sums  = Array.fill(nCols)(new Array[Double](n))
-    var offset = 0L
     var i = 0
     while (i < n) {
       val r = rows(i)
       keys(i) = r.getAs[Long]("cell")
       cnts(i) = r.getAs[Long]("cnt")
-      offs(i) = offset
-      offset += cnts(i)
       var c = 0
       while (c < nCols) {
         if (r.getAs[Long](s"n_${valueCols(c)}") != cnts(i))
@@ -109,7 +107,7 @@ object GeoBlockSpark {
       }
       i += 1
     }
-    new GeoBlock(level, valueCols.toArray, keys, offs, cnts, mins, maxs, sums)
+    new GeoBlock(level, valueCols.toArray, keys, cnts, mins, maxs, sums)
   }
 
   /** Collects the sorted columnar raw data to the driver — the substrate
@@ -117,10 +115,9 @@ object GeoBlockSpark {
     * baselines) is built from. A null value fails with an
     * `IllegalArgumentException` naming its column.
     */
-  def extractAndReorganize(points: DataFrame, valueCols: Seq[String],
-                           lonCol: String = "lon", latCol: String = "lat"): RawColumns = {
-    val sorted = sortByKey(withLeafKey(points, lonCol, latCol))
-      .select(col(KeyCol) +: (Seq(lonCol, latCol) ++ valueCols).map(col(_).cast(DoubleType)): _*)
+  def extractAndReorganize(points: DataFrame, valueCols: Seq[String]): RawColumns = {
+    val sorted = sortByKey(withLeafKey(points))
+      .select(col(KeyCol) +: (Seq(LonCol, LatCol) ++ valueCols).map(col(_).cast(DoubleType)): _*)
     val rows = sorted.collect()
     val n    = rows.length
     val keys = new Array[Long](n)

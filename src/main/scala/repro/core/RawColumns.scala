@@ -25,18 +25,6 @@ final class RawColumns(
     */
   def sizeBytes: Long = 8L * size + 8L * size * nCols
 
-  /** First index i with keys(i) >= key (keys.length if none). */
-  def lowerBound(key: Long): Int = {
-    var lo = 0
-    var hi = keys.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (keys(mid) < key) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
   /** Row range [from, until) of tuples inside the cell's descendant range. */
-  def rangeOf(cell: CellId): (Int, Int) =
-    (lowerBound(cell.rangeMin), lowerBound(cell.rangeMax + 1))
+  def rangeOf(cell: CellId): (Int, Int) = GeoBlock.keyRange(keys, cell)
 }

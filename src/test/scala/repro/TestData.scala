@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{GeoBlock, GeoBlockSpark, RawColumns}
+import repro.core.{AggFunc, AggSpec, GeoBlock, GeoBlockSpark, RawColumns}
 import repro.geo.Polygon
 import repro.s2.CellId
 import repro.workload.Neighborhoods
@@ -20,6 +20,14 @@ object TestData {
   lazy val block14: GeoBlock = GeoBlock.buildFromSorted(raw, 14)
 
   lazy val polys: IndexedSeq[Polygon] = Neighborhoods.generate()
+
+  /** COUNT of a V1 polygon query. */
+  def countOf(block: GeoBlock, poly: Polygon): Long =
+    block.select(poly, Seq(AggSpec(AggFunc.Count)))(0).toLong
+
+  /** COUNT of one query cell: a read that scans no value column. */
+  def countOf(block: GeoBlock, cell: CellId): Long =
+    block.selectCells(Seq(cell), Array.empty).count
 
   /** Brute-force count of raw tuples whose leaf key falls in any of the
     * given cells (cells assumed disjoint).

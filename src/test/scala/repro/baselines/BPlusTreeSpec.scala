@@ -62,7 +62,7 @@ class BPlusTreeSpec extends SparkSpec {
   }
 
   test("sizeBytes accounts for separators and leaf keys") {
-    val t = new BPlusTree(Array.tabulate(256)(_.toLong), fanout = 16)
+    val t = new BPlusTree(Array.tabulate(256)(_.toLong))
     // 256 leaves -> 16 separators -> root; 8 bytes each
     assert(t.sizeBytes == (256L + 16L) * 8L)
   }

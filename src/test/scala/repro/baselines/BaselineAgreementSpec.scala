@@ -121,7 +121,7 @@ class BaselineAgreementSpec extends SparkSpec {
     TestData.polys.grouped(20).map(_.head).foreach { poly =>
       val cells = Covering.exterior(poly, 17)
       val bsCount = bs.aggregateCells(cells, Array.empty).count
-      assert(bsCount == TestData.block17.count(poly))
+      assert(bsCount == TestData.countOf(TestData.block17, poly))
       assert(bt.aggregateCells(cells, Array.empty).count == bsCount)
     }
   }
@@ -130,7 +130,7 @@ class BaselineAgreementSpec extends SparkSpec {
     TestData.polys.grouped(30).map(_.head).foreach { poly =>
       val rect     = Covering.interiorRect(poly)
       val rtCount  = rt.countRect(rect)
-      val covCount = TestData.block17.count(poly)
+      val covCount = TestData.countOf(TestData.block17, poly)
       assert(rtCount <= covCount, s"rt=$rtCount cov=$covCount")
     }
   }

@@ -113,7 +113,16 @@ class GeoBlockBuildSpec extends SparkSpec {
       Array("a"), Array(Array.empty[Double]))
     val b = GeoBlock.buildFromSorted(empty, 17)
     assert(b.numCells == 0 && b.totalTuples == 0)
-    assert(b.count(TestData.polys.head) == 0)
+    assert(TestData.countOf(b, TestData.polys.head) == 0)
+  }
+
+  test("unsorted raw keys are rejected with the row named") {
+    val lons = Array(-73.99, -73.80, -73.95)
+    val ks   = lons.map(CellId.leafKey(_, 40.75)).sorted
+    val raw  = new RawColumns(Array(ks(0), ks(2), ks(1)), lons, Array.fill(3)(40.75),
+      Array("a"), Array(Array(1.0, 2.0, 3.0)))
+    val e = intercept[IllegalArgumentException](GeoBlock.buildFromSorted(raw, 17))
+    assert(e.getMessage.contains("row 2"), e.getMessage)
   }
 
   test("coarser levels produce no more cells than finer levels") {

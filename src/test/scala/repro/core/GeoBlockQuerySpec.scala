@@ -21,19 +21,18 @@ class GeoBlockQuerySpec extends SparkSpec {
     CellId(raw.keys(i)).parent(level)
   }
 
-  test("countCell matches brute force for random cells at various levels") {
+  test("COUNT of one cell matches brute force for random cells at various levels") {
     for (level <- Seq(10, 13, 15, 17); _ <- 1 to 10) {
       val cell = randomCell(level)
-      assert(block.countCell(cell) == TestData.bruteCountCells(raw, Seq(cell)),
+      assert(TestData.countOf(block, cell) == TestData.bruteCountCells(raw, Seq(cell)),
         s"cell $cell")
     }
   }
 
-  test("countCell of an empty region is zero") {
+  test("COUNT of an empty region is zero") {
     // A cell in the middle of the Atlantic
     val cell = CellId.fromPoint(-40.0, 30.0, 17)
-    assert(block.countCell(cell) == 0L)
-    assert(!block.mayOverlap(cell) || block.countCell(cell) == 0L)
+    assert(TestData.countOf(block, cell) == 0L)
   }
 
   test("selectCells matches brute force aggregates for random cells") {
@@ -58,22 +57,28 @@ class GeoBlockQuerySpec extends SparkSpec {
   test("count query equals sum of per-cell counts of its covering") {
     TestData.polys.take(20).foreach { poly =>
       val cells = Covering.exterior(poly, 17)
-      val perCell = cells.map(block.countCell).sum
-      assert(block.count(poly) == perCell)
+      val perCell = cells.map(TestData.countOf(block, _)).sum
+      assert(TestData.countOf(block, poly) == perCell)
     }
   }
 
   test("SELECT COUNT equals the COUNT fast path for every neighborhood") {
+    // COUNT-only, COUNT next to scanned columns, and the raw rows under
+    // the covering.
     TestData.polys.foreach { poly =>
-      val viaSelect = block.select(poly, Seq(AggSpec(AggFunc.Count)))(0).toLong
-      assert(viaSelect == block.count(poly), s"poly mismatch")
+      val rows = Covering.exterior(poly, 17).map { c =>
+        val (from, until) = raw.rangeOf(c)
+        (until - from).toLong
+      }.sum
+      val withCols = block.select(poly, repro.workload.Workloads.SevenAggs)(0).toLong
+      assert(TestData.countOf(block, poly) == rows && withCols == rows, s"poly mismatch")
     }
   }
 
   test("covering count is never below the exact polygon count (false positives only)") {
     TestData.polys.take(30).foreach { poly =>
       val exact    = TestData.exactPolygonCount(raw, poly)
-      val measured = block.count(poly)
+      val measured = TestData.countOf(block, poly)
       assert(measured >= exact, s"measured=$measured exact=$exact")
     }
   }
@@ -85,7 +90,7 @@ class GeoBlockQuerySpec extends SparkSpec {
       val b = GeoBlock.buildFromSorted(raw, level)
       val errs = polysWithData.map { p =>
         val exact = TestData.exactPolygonCount(raw, p)
-        (b.count(p) - exact).toDouble / exact
+        (TestData.countOf(b, p) - exact).toDouble / exact
       }
       errs.sum / errs.size
     }
@@ -100,7 +105,6 @@ class GeoBlockQuerySpec extends SparkSpec {
 
   test("query for a polygon outside the data returns empty aggregates") {
     val far = Polygon(IndexedSeq(Pt(10, 10), Pt(11, 10), Pt(11, 11), Pt(10, 11)))
-    assert(block.count(far) == 0)
     // Empty results are the identities of each aggregate, not SQL NULL.
     val res = block.select(far, Seq(AggSpec(AggFunc.Count), AggSpec(AggFunc.Sum, 2),
       AggSpec(AggFunc.Min, 2), AggSpec(AggFunc.Max, 2), AggSpec(AggFunc.Avg, 2)))
@@ -145,7 +149,7 @@ class GeoBlockQuerySpec extends SparkSpec {
       val cell = randomCell(13)
       val (from, until) = block.cellRange(cell)
       val scanned = (from until until).map(block.counts(_)).sum
-      assert(block.countCell(cell) == scanned)
+      assert(TestData.countOf(block, cell) == scanned)
     }
   }
 }

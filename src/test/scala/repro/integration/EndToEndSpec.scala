@@ -45,11 +45,11 @@ class EndToEndSpec extends SparkSpec {
     // lie within cells intersecting the polygon boundary.
     TestData.polys.grouped(16).map(_.head).foreach { poly =>
       val exact    = TestData.exactPolygonCount(raw, poly)
-      val measured = block.count(poly)
+      val measured = TestData.countOf(block, poly)
       assert(measured >= exact)
       val boundaryCells = Covering.exterior(poly, 17)
         .filterNot(c => poly.relateBox(c.bounds) == repro.geo.BoxRelation.ContainsBox)
-      val boundaryTuples = boundaryCells.map(block.countCell).sum
+      val boundaryTuples = boundaryCells.map(TestData.countOf(block, _)).sum
       assert(measured - exact <= boundaryTuples)
     }
   }
@@ -81,8 +81,8 @@ class EndToEndSpec extends SparkSpec {
          |WHERE CAST(t.cell_key AS BIGINT) BETWEEN CAST(c.lo AS BIGINT)
          |                                     AND CAST(c.hi AS BIGINT)""".stripMargin
     Oracle.assertEquivalent(driver, sql, "taxi" -> GeoBlockSpark.withLeafKey(points), "cov" -> cov)
-    // The COUNT fast path agrees with the scanned count DuckDB just checked.
-    assert(b15.count(poly) == agg.count)
+    // A COUNT-only query agrees with the count DuckDB just checked.
+    assert(TestData.countOf(b15, poly) == agg.count)
   }
 
   test("rebuilding a block at a different level from the same raw data is consistent") {
@@ -94,7 +94,7 @@ class EndToEndSpec extends SparkSpec {
     val fineSum = block.keys.indices
       .filter(i => cell14.contains(CellId(block.keys(i))))
       .map(block.counts(_)).sum
-    assert(b14.countCell(cell14) == fineSum)
+    assert(TestData.countOf(b14, cell14) == fineSum)
   }
 
   test("skewed workload makes the AggregateTrie cache the hot cells") {

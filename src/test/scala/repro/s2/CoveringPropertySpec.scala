@@ -96,7 +96,7 @@ class CoveringPropertySpec extends SparkSpec with PropertyChecks {
   test("block.count over the covering is at least the exact point count") {
     val block = TestData.block17
     check(Prop.forAllNoShrink(anyPoly) { poly =>
-      block.count(poly) >= TestData.exactPolygonCount(TestData.raw, poly)
+      TestData.countOf(block, poly) >= TestData.exactPolygonCount(TestData.raw, poly)
     })
   }
 
