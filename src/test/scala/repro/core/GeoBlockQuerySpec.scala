@@ -21,10 +21,13 @@ class GeoBlockQuerySpec extends SparkSpec {
     CellId(raw.keys(i)).parent(level)
   }
 
-  test("COUNT of one cell matches brute force for random cells at various levels") {
+  /** COUNT of one cell, read through `selectCells` with no value column. */
+  private def countCell(cell: CellId): Long = TestData.countOf(block, cell)
+
+  test("countCell matches brute force for random cells at various levels") {
     for (level <- Seq(10, 13, 15, 17); _ <- 1 to 10) {
       val cell = randomCell(level)
-      assert(TestData.countOf(block, cell) == TestData.bruteCountCells(raw, Seq(cell)),
+      assert(countCell(cell) == TestData.bruteCountCells(raw, Seq(cell)),
         s"cell $cell")
     }
   }
@@ -32,7 +35,7 @@ class GeoBlockQuerySpec extends SparkSpec {
   test("COUNT of an empty region is zero") {
     // A cell in the middle of the Atlantic
     val cell = CellId.fromPoint(-40.0, 30.0, 17)
-    assert(TestData.countOf(block, cell) == 0L)
+    assert(countCell(cell) == 0L)
   }
 
   test("selectCells matches brute force aggregates for random cells") {
