@@ -46,14 +46,25 @@ object BenchSpec {
     */
   @volatile var sink: Double = 0.0
 
+  /** Warm-up of each measured closure before its timed repetitions: at
+    * least this many evaluations, and for at least this long, so JIT
+    * compilation and cold caches stay out of the timed samples.
+    */
+  val WarmupRuns = 3
+  val WarmupMs   = 200.0
+
   /** Median of `reps` already-measured millisecond values produced by
-    * repeatedly evaluating `f` (use when `f` times itself internally).
-    * One extra evaluation is run first and discarded so JIT compilation
-    * and cold caches do not pollute the first sample.
+    * repeatedly evaluating `f` (use when `f` times itself internally),
+    * after warming `f` up (see [[WarmupRuns]]).
     */
   def medianOf(reps: Int)(f: => Double): Double = {
     require(reps >= 1)
-    f // warm-up, discarded
+    val t0   = System.nanoTime()
+    var runs = 0
+    while (runs < WarmupRuns || (System.nanoTime() - t0) / 1e6 < WarmupMs) {
+      f // warm-up, discarded
+      runs += 1
+    }
     val xs = (1 to reps).map(_ => f).sorted
     xs(xs.length / 2)
   }

@@ -31,7 +31,7 @@ abstract class CellTrie(val rootCell: CellId, empty: Long) {
 
   private def growTo(cap: Int): Unit =
     if (cap > firstChild.length) {
-      val newCap = math.max(cap, firstChild.length * 2)
+      val newCap = CellTrie.grownCapacity(firstChild.length, cap)
       val fc = Array.fill(newCap)(-1)
       val v  = Array.fill(newCap)(empty)
       Array.copy(firstChild, 0, fc, 0, nNodes)
@@ -72,9 +72,10 @@ abstract class CellTrie(val rootCell: CellId, empty: Long) {
     var s    = 2 * (cell.level - rootLevel - 1)
     while (s >= 0) {
       if (firstChild(node) == -1) {
-        growTo(nNodes + 4)
+        val grown = CellTrie.grownCount(nNodes)
+        growTo(grown)
         firstChild(node) = nNodes
-        nNodes += 4
+        nNodes = grown
       }
       node = firstChild(node) + ((pos >>> s) & 3L).toInt
       s -= 2
@@ -116,4 +117,29 @@ abstract class CellTrie(val rootCell: CellId, empty: Long) {
     }
     walk(0, rootCell)
   }
+}
+
+object CellTrie {
+
+  /** Most nodes a trie holds: node indices are `Int`s, and the JVM
+    * allocates arrays of at most about `Int.MaxValue - 8` elements.
+    */
+  val MaxNodes: Int = Int.MaxValue - 8
+
+  /** The node count after allocating one more group of four; fails with
+    * an `IllegalStateException` naming the count rather than let the
+    * 32-bit count wrap or outgrow an array.
+    */
+  private[core] def grownCount(nNodes: Int): Int = {
+    if (nNodes > MaxNodes - 4)
+      throw new IllegalStateException(
+        s"trie of $nNodes nodes cannot grow by 4: at most $MaxNodes nodes fit 32-bit indices")
+    nNodes + 4
+  }
+
+  /** Array length for holding `cap` nodes when the arrays hold `length`:
+    * doubled, but at least `cap` and at most [[MaxNodes]].
+    */
+  private[core] def grownCapacity(length: Int, cap: Int): Int =
+    math.min(MaxNodes.toLong, math.max(cap.toLong, 2L * length)).toInt
 }

@@ -10,9 +10,9 @@ import repro.s2.{CellId, Covering}
   * the min/max spatial key for the pre-query check (Section 3.2/3.3 of
   * the paper).
   *
-  * The V1 query algorithm lives here: each query cell finds its run of
-  * CellBlocks by binary search, takes COUNT from the run's offsets and
-  * scans the run only for the requested columns.
+  * The V1 query algorithm lives here: each key range of the covering
+  * finds its run of CellBlocks by binary search, takes COUNT from the
+  * run's offsets and scans the run only for the requested columns.
   */
 final class GeoBlock(
     val blockLevel: Int,
@@ -66,13 +66,19 @@ final class GeoBlock(
     GeoBlock.keyRange(keys, cell)
   }
 
-  /** The per-cell read of V1 and of V2's fallback: COUNT from the first
-    * and last contained CellBlock's offsets (the paper's COUNT rule), then
-    * MIN/MAX/SUM of the requested columns, one column at a time.
-    */
+  /** The per-cell read of V2's fallback and of [[selectCells]]. */
   def selectCellInto(cell: CellId, cols: Array[Int], into: AggState): Unit = {
     if (!mayOverlap(cell)) return
     val (from, until) = cellRange(cell)
+    scanInto(from, until, cols, into)
+  }
+
+  /** The one CellBlock read: COUNT of CellBlocks [from, until) from the
+    * first and last one's offsets (the paper's COUNT rule), then
+    * MIN/MAX/SUM of the requested columns, one column at a time, in
+    * ascending CellBlock order.
+    */
+  private def scanInto(from: Int, until: Int, cols: Array[Int], into: AggState): Unit = {
     if (from >= until) return
     into.count += offsets(until - 1) + counts(until - 1) - offsets(from)
     var k = 0
@@ -111,12 +117,34 @@ final class GeoBlock(
   def aggregateOf(cell: CellId): AggState =
     selectCells(Seq(cell), AggState.allCols(nCols))
 
-  /** V1 SELECT query: cover the polygon, combine cell aggregates, project
-    * the requested aggregate list.
+  /** V1 SELECT query: cover the polygon, merge adjacent covering cells
+    * into key ranges as they come (the next cell's `rangeMin` is the last
+    * one's `rangeMax + 2`), and read each range's CellBlocks with two
+    * binary searches, the first starting where the previous range ended.
+    * The CellBlocks are read in the same ascending order as
+    * `selectCells(Covering.exterior(poly, blockLevel), cols)`, so the
+    * answers are bit-identical to it.
     */
   def select(poly: Polygon, specs: Seq[AggSpec]): Array[Double] = {
-    val cells = Covering.exterior(poly, blockLevel)
-    selectCells(cells, AggSpec.neededCols(specs)).extractAll(specs)
+    val ids  = Covering.exteriorIds(poly, blockLevel)
+    val cols = AggSpec.neededCols(specs)
+    val st   = new AggState(nCols)
+    var from = 0
+    var i    = 0
+    while (i < ids.length) {
+      val lo = CellId(ids(i)).rangeMin
+      var hi = CellId(ids(i)).rangeMax
+      i += 1
+      while (i < ids.length && CellId(ids(i)).rangeMin == hi + 2) {
+        hi = CellId(ids(i)).rangeMax
+        i += 1
+      }
+      from = GeoBlock.lowerBound(keys, from, lo)
+      val until = GeoBlock.lowerBound(keys, from, hi + 1)
+      scanInto(from, until, cols, st)
+      from = until
+    }
+    st.extractAll(specs)
   }
 }
 
@@ -133,11 +161,13 @@ object GeoBlock {
     * the cell's descendant range.
     */
   private[core] def keyRange(sorted: Array[Long], cell: CellId): (Int, Int) =
-    (lowerBound(sorted, cell.rangeMin), lowerBound(sorted, cell.rangeMax + 1))
+    (lowerBound(sorted, 0, cell.rangeMin), lowerBound(sorted, 0, cell.rangeMax + 1))
 
-  /** First index i with sorted(i) >= key (sorted.length if none). */
-  private def lowerBound(sorted: Array[Long], key: Long): Int = {
-    var lo = 0
+  /** First index i >= `from` with sorted(i) >= key (sorted.length if
+    * none).
+    */
+  private def lowerBound(sorted: Array[Long], from: Int, key: Long): Int = {
+    var lo = from
     var hi = sorted.length
     while (lo < hi) {
       val mid = (lo + hi) >>> 1

@@ -73,11 +73,15 @@ final case class Polygon(vertices: IndexedSeq[Pt]) {
 
   def contains(p: Pt): Boolean = containsXY(p.x, p.y)
 
-  /** Classifies the box against this polygon — the covering predicate.
-    * Allocation-free: all edge/corner tests run on scalar coordinates.
+  /** Classifies the box against this polygon — the covering predicate. */
+  def relateBox(b: BBox): BoxRelation = relate(b.minX, b.minY, b.maxX, b.maxY)
+
+  /** [[relateBox]] on the box's four coordinates. Allocation-free: the
+    * covering walk calls it once per visited cell.
     */
-  def relateBox(b: BBox): BoxRelation = {
-    if (!bbox.intersects(b)) return BoxRelation.Disjoint
+  def relate(minX: Double, minY: Double, maxX: Double, maxY: Double): BoxRelation = {
+    if (minX > bbox.maxX || maxX < bbox.minX || minY > bbox.maxY || maxY < bbox.minY)
+      return BoxRelation.Disjoint
     // Any polygon edge crossing a box edge => partial overlap.
     var i = 0
     var j = nVerts - 1
@@ -85,17 +89,18 @@ final case class Polygon(vertices: IndexedSeq[Pt]) {
       val ax = xs(j); val ay = ys(j)
       val cx = xs(i); val cy = ys(i)
       // Cheap reject: edge bbox vs box.
-      if (!(math.max(ax, cx) < b.minX || math.min(ax, cx) > b.maxX ||
-            math.max(ay, cy) < b.minY || math.min(ay, cy) > b.maxY)) {
-        if (Geometry.segmentIntersectsBox(ax, ay, cx, cy, b.minX, b.minY, b.maxX, b.maxY))
+      if (!(math.max(ax, cx) < minX || math.min(ax, cx) > maxX ||
+            math.max(ay, cy) < minY || math.min(ay, cy) > maxY)) {
+        if (Geometry.segmentIntersectsBox(ax, ay, cx, cy, minX, minY, maxX, maxY))
           return BoxRelation.Intersects
       }
       j = i
       i += 1
     }
     // No edge crossings: the regions are nested or disjoint.
-    if (containsXY(b.minX, b.minY)) BoxRelation.ContainsBox           // box inside polygon
-    else if (b.contains(vertices.head)) BoxRelation.Intersects        // polygon inside box
+    if (containsXY(minX, minY)) BoxRelation.ContainsBox                 // box inside polygon
+    else if (xs(0) >= minX && xs(0) <= maxX && ys(0) >= minY && ys(0) <= maxY)
+      BoxRelation.Intersects                                            // polygon inside box
     else BoxRelation.Disjoint
   }
 

@@ -104,4 +104,18 @@ class AggregateTrieSpec extends SparkSpec {
     assert(t.aggOrNull(t.nodeOf(c)).count == 5)
   }
 
+
+  test("the node count fails loudly before it passes 32-bit indices") {
+    import CellTrie.{MaxNodes, grownCapacity, grownCount}
+    assert(grownCount(1) == 5)
+    assert(grownCount(MaxNodes - 4) == MaxNodes)
+    for (n <- Seq(MaxNodes - 3, MaxNodes, Int.MaxValue - 3, Int.MaxValue)) {
+      val e = intercept[IllegalStateException](grownCount(n))
+      assert(e.getMessage.contains(n.toString))
+    }
+    assert(grownCapacity(64, 68) == 128)
+    assert(grownCapacity(64, 200) == 200)
+    assert(grownCapacity(1 << 30, (1 << 30) + 4) == MaxNodes)
+    assert(grownCapacity(MaxNodes - 100, MaxNodes) == MaxNodes)
+  }
 }

@@ -2,15 +2,18 @@ package repro.s2
 
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropertyChecks, SparkSpec, TestData}
-import repro.core.AggState
-import repro.geo.{Polygon, Pt}
+import repro.core.{AggFunc, AggSpec, AggState, GeoBlock}
+import repro.geo.{BoxRelation, Polygon, Pt}
 import repro.workload.{Neighborhoods, Workloads}
+import scala.collection.mutable.ArrayBuffer
 
 /** Generated checks of the exterior covering over random polygons inside
   * the NYC bbox, including self-intersecting ones (vertices in random
   * order) and zero-area ones (collinear vertices). They define what a
   * covering of a degenerate polygon is: the cells that hold its edges and
-  * its even-odd interior, like any other polygon's.
+  * its even-odd interior, like any other polygon's. They also check the
+  * grid-coordinate walk against the plain recursion over `CellId`s, and
+  * V1's range-merging `select` against its per-cell read.
   */
 class CoveringPropertySpec extends SparkSpec with PropertyChecks {
 
@@ -57,6 +60,61 @@ class CoveringPropertySpec extends SparkSpec with PropertyChecks {
     }
 
   private val anyPoly: Gen[Polygon] = Gen.frequency(3 -> randomPoly, 1 -> collinearPoly)
+
+  /** Axis-aligned rectangles from 1e-4 of the NYC bbox up to most of the
+    * world, clamped to the world.
+    */
+  private val largeRect: Gen[Polygon] =
+    for {
+      cx     <- Gen.choose(-180.0, 180.0)
+      cy     <- Gen.choose(-90.0, 90.0)
+      logExt <- Gen.choose(-4.0, 2.5)
+      aspect <- Gen.choose(0.2, 5.0)
+    } yield {
+      val hw = B.width * math.pow(10, logExt) / 2
+      val hh = hw * aspect
+      val x0 = math.max(-180.0, cx - hw); val x1 = math.min(180.0, cx + hw)
+      val y0 = math.max(-90.0, cy - hh); val y1 = math.min(90.0, cy + hh)
+      Polygon(IndexedSeq(Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
+    }
+
+  /** The covering as the plain recursion computes it: `relateBox` on each
+    * visited cell's `bounds`, recursing into `child(0..3)`.
+    */
+  private def referenceExterior(poly: Polygon, maxLevel: Int): Array[Long] = {
+    val out = ArrayBuffer.empty[Long]
+    def recurse(cell: CellId): Unit = poly.relateBox(cell.bounds) match {
+      case BoxRelation.Disjoint    => ()
+      case BoxRelation.ContainsBox => out += cell.id
+      case BoxRelation.Intersects =>
+        if (cell.level >= maxLevel) out += cell.id
+        else {
+          var i = 0
+          while (i < 4) { recurse(cell.child(i)); i += 1 }
+        }
+    }
+    recurse(Covering.startCell(poly.bbox, maxLevel))
+    out.toArray
+  }
+
+  /** A maxLevel from the named levels or any level, capped so that about
+    * 2^13 cells of that level line the polygon's edges: the reference
+    * recursion stays fast on large polygons.
+    */
+  private def levelFor(poly: Polygon): Gen[Int] = {
+    val vs  = poly.vertices
+    val len = vs.indices.map { i =>
+      val (a, b) = (vs(i), vs((i + 1) % vs.length))
+      math.hypot(a.x - b.x, a.y - b.y)
+    }.sum
+    val cap = if (len == 0) 30 else (math.log(8192 * 180 / len) / math.log(2)).toInt
+    Gen.oneOf(Gen.oneOf(0, 13, 17, 21, 30), Gen.choose(0, 30)).map(l => math.max(0, math.min(l, cap)))
+  }
+
+  private def sameAsReference(poly: Polygon, maxLevel: Int): Boolean =
+    java.util.Arrays.equals(Covering.exteriorIds(poly, maxLevel), referenceExterior(poly, maxLevel))
+
+  private val NamedLevels = Seq(0, 13, 17, 21)
 
   /** Sample points as fractions of a polygon's bbox. */
   private val samples: Gen[List[(Double, Double)]] =
@@ -115,5 +173,81 @@ class CoveringPropertySpec extends SparkSpec with PropertyChecks {
       val exp = brute.extractAll(Workloads.SevenAggs)
       got.length == exp.length && got.indices.forall(i => Oracle.close(got(i), exp(i)))
     })
+  }
+
+  test("the walk returns the reference recursion's ids on the neighborhoods") {
+    for (poly <- Neighborhoods.generate(); l <- NamedLevels)
+      assert(sameAsReference(poly, l), s"level $l, $poly")
+  }
+
+  test("the walk returns the reference recursion's ids on the selectivity rectangles") {
+    val raw = TestData.raw
+    for (frac <- Seq(0.001, 0.01, 0.05, 0.2, 0.5, 0.9); l <- NamedLevels) {
+      val (rect, _) = Workloads.selectivityRect(raw.lons, raw.lats, frac)
+      assert(sameAsReference(rect, l), s"fraction $frac, level $l")
+    }
+  }
+
+  test("the walk returns the reference recursion's ids on random polygons and rectangles") {
+    val gen = Gen.oneOf(anyPoly, largeRect).flatMap(p => levelFor(p).map(p -> _))
+    check(Prop.forAllNoShrink(gen) { case (poly, maxLevel) =>
+      Prop(sameAsReference(poly, maxLevel)) :| s"level $maxLevel, $poly"
+    }, minSuccessful = 400)
+  }
+
+  test("the walk's grid coordinates equal Hilbert.d2xy") {
+    val cell = for {
+      level <- Gen.oneOf(Gen.choose(0, 30), Gen.oneOf(0, 1, 30))
+      pos   <- Gen.choose(0L, (1L << (2 * level)) - 1)
+    } yield (level, pos)
+    check(Prop.forAllNoShrink(cell) { case (level, pos) =>
+      val grid = Covering.descend(level, pos)
+      Hilbert.d2xy(level, pos) == ((grid >>> 32, (grid >>> 2) & 0x3fffffffL))
+    }, minSuccessful = 500)
+  }
+
+  /** V1 `select` against the per-cell read of the same covering, bit for
+    * bit, with all seven aggregates and with COUNT only.
+    */
+  private def selectIsPerCell(block: GeoBlock, poly: Polygon): Boolean = {
+    val cells = Covering.exterior(poly, block.blockLevel)
+    Seq(Workloads.SevenAggs, Seq(AggSpec(AggFunc.Count))).forall { specs =>
+      val perCell = block.selectCells(cells, AggSpec.neededCols(specs)).extractAll(specs)
+      java.util.Arrays.equals(block.select(poly, specs), perCell)
+    }
+  }
+
+  test("select equals selectCells over the covering, bit for bit, on random polygons") {
+    val blocks = Seq(TestData.block17, TestData.block14)
+    check(Prop.forAllNoShrink(anyPoly, Gen.oneOf(blocks)) { (poly, block) =>
+      selectIsPerCell(block, poly)
+    }, minSuccessful = 200)
+  }
+
+  test("select equals selectCells on an empty result and on the whole block") {
+    val block = TestData.block17
+    val raw   = TestData.raw
+    def rect(x0: Double, y0: Double, x1: Double, y1: Double) =
+      Polygon(IndexedSeq(Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
+    val outside = rect(2.0, 48.0, 2.5, 48.5)
+    assert(block.select(outside, Workloads.SevenAggs)(0) == 0.0)
+    assert(selectIsPerCell(block, outside))
+    val whole = rect(raw.lons.min - 0.01, raw.lats.min - 0.01, raw.lons.max + 0.01, raw.lats.max + 0.01)
+    assert(block.select(whole, Workloads.SevenAggs)(0) == raw.size.toDouble)
+    assert(selectIsPerCell(block, whole))
+  }
+
+  test("select equals selectCells where a merged range joins cells of different levels") {
+    val block = TestData.block17
+    // Adjacent covering cells of different levels are not siblings, so a
+    // range that merges them crosses a parent's boundary.
+    val mixed = Neighborhoods.generate().filter { poly =>
+      val cells = Covering.exterior(poly, block.blockLevel)
+      cells.indices.drop(1).exists { i =>
+        cells(i).rangeMin == cells(i - 1).rangeMax + 2 && cells(i).level != cells(i - 1).level
+      }
+    }
+    assert(mixed.nonEmpty)
+    mixed.foreach(poly => assert(selectIsPerCell(block, poly), poly))
   }
 }
