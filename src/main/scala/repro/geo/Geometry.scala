@@ -43,6 +43,10 @@ object BoxRelation {
   */
 final case class Polygon(vertices: IndexedSeq[Pt]) {
   require(vertices.length >= 3, "polygon needs at least 3 vertices")
+  vertices.indices.foreach { i =>
+    require(java.lang.Double.isFinite(vertices(i).x) && java.lang.Double.isFinite(vertices(i).y),
+      s"vertex $i is not finite: ${vertices(i)}")
+  }
 
   // Flat coordinate arrays: relateBox/contains sit on the covering hot
   // path and must not allocate.

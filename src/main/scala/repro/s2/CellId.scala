@@ -45,11 +45,6 @@ final class CellId(val id: Long) extends AnyVal {
 
   def parent: CellId = parent(level - 1)
 
-  def children: Seq[CellId] = {
-    require(!isLeaf, "leaf cell has no children")
-    (0 until 4).map(i => CellId.fromPosLevel(pos * 4 + i, level + 1))
-  }
-
   def child(i: Int): CellId = {
     require(i >= 0 && i < 4 && !isLeaf)
     CellId.fromPosLevel(pos * 4 + i, level + 1)
@@ -57,13 +52,11 @@ final class CellId(val id: Long) extends AnyVal {
 
   /** Lon/lat rectangle covered by this cell. */
   def bounds: BBox = {
-    val (cx, cy) = if (level == 0) (0L, 0L) else Hilbert.d2xy(level, pos)
-    val n  = 1L << level
-    val w  = (CellId.WorldMaxX - CellId.WorldMinX) / n
-    val h  = (CellId.WorldMaxY - CellId.WorldMinY) / n
-    val x0 = CellId.WorldMinX + cx * w
-    val y0 = CellId.WorldMinY + cy * h
-    BBox(x0, y0, x0 + w, y0 + h)
+    val l    = level
+    val grid = CellId.posToGrid(l, pos)
+    val x0   = CellId.WorldMinX + (grid >>> 32) * CellId.CellW(l)
+    val y0   = CellId.WorldMinY + ((grid >>> 2) & 0x3fffffffL) * CellId.CellH(l)
+    BBox(x0, y0, x0 + CellId.CellW(l), y0 + CellId.CellH(l))
   }
 
   /** Approximate ground diagonal of the cell in meters (planar, at the
@@ -115,7 +108,7 @@ object CellId {
 
   /** Cell containing the point at the given level (default: leaf). */
   def fromPoint(lon: Double, lat: Double, level: Int = MaxLevel): CellId = {
-    val pos30 = Hilbert.xy2d(MaxLevel, xCoord(lon), yCoord(lat))
+    val pos30 = gridToPos(MaxLevel, xCoord(lon), yCoord(lat)) >>> 2
     fromPosLevel(pos30 >>> (2 * (MaxLevel - level)), level)
   }
 
@@ -130,19 +123,79 @@ object CellId {
     fromPoint(lon, lat).id
   }
 
-  /** Deepest cell that is an ancestor of both arguments. */
+  /** Deepest cell that is an ancestor of both arguments. At the shallower
+    * level, each base-4 position digit from the highest differing one down
+    * is one level to drop.
+    */
   def commonAncestor(a: CellId, b: CellId): CellId = {
-    val l  = math.min(a.level, b.level)
-    val pa = a.parent(l).pos
-    val pb = b.parent(l).pos
-    if (pa == pb) a.parent(l)
-    else {
-      // Drop level until positions agree.
-      val diff   = pa ^ pb
-      val topBit = 63 - java.lang.Long.numberOfLeadingZeros(diff)
-      val drop   = topBit / 2 + 1
-      val lvl    = math.max(0, l - drop)
-      a.parent(lvl)
-    }
+    val l    = math.min(a.level, b.level)
+    val diff = a.parent(l).pos ^ b.parent(l).pos
+    a.parent(l - (64 - java.lang.Long.numberOfLeadingZeros(diff) + 1) / 2)
   }
+
+  /** The curve's child order, in S2's convention (s2geometry.io,
+    * `S2CellId`): bit 0 of a cell's orientation swaps x and y, bit 1
+    * inverts both. Child k of a cell with orientation `orient` is its
+    * quadrant `ij = PosToIJ(orient << 2 | k) = (dx << 1) | dy` and has
+    * orientation `orient ^ PosToOrientation(k)`. The level-0 cell has
+    * orientation 0. These two tables are the only definition of the curve.
+    */
+  private[s2] val PosToIJ: Array[Int] = Array(
+    0, 1, 3, 2, // orientation 0
+    0, 2, 3, 1, // swap
+    3, 2, 0, 1, // invert
+    3, 1, 0, 2, // swap and invert
+  )
+  private[s2] val PosToOrientation: Array[Int] = Array(1, 0, 0, 3)
+
+  /** Inverse of [[PosToIJ]] per orientation: `IJToPos(orient << 2 | ij) = k`. */
+  private val IJToPos: Array[Int] = {
+    val t = new Array[Int](16)
+    for (o <- 0 until 4; k <- 0 until 4) t(o << 2 | PosToIJ(o << 2 | k)) = k
+    t
+  }
+
+  /** Curve position of the cell at grid coordinates (x, y) of `level`,
+    * and that cell's orientation, packed as `pos << 2 | orient`: one child
+    * step per level, from the level-0 cell down.
+    */
+  private[s2] def gridToPos(level: Int, x: Long, y: Long): Long = {
+    var pos    = 0L
+    var orient = 0
+    var l      = level - 1
+    while (l >= 0) {
+      val k = IJToPos(orient << 2 | ((x >>> l).toInt & 1) << 1 | ((y >>> l).toInt & 1))
+      pos = pos << 2 | k
+      orient ^= PosToOrientation(k)
+      l -= 1
+    }
+    pos << 2 | orient
+  }
+
+  /** Grid coordinates and orientation of the cell at `pos` of `level`,
+    * packed as `x << 32 | y << 2 | orient`: the inverse of [[gridToPos]],
+    * one child step per position digit, from the top.
+    */
+  private[s2] def posToGrid(level: Int, pos: Long): Long = {
+    var x, y, orient = 0
+    var l = 1
+    while (l <= level) {
+      val k  = ((pos >>> (2 * (level - l))) & 3L).toInt
+      val ij = PosToIJ(orient << 2 | k)
+      x = x << 1 | ij >> 1
+      y = y << 1 | ij & 1
+      orient ^= PosToOrientation(k)
+      l += 1
+    }
+    x.toLong << 32 | y.toLong << 2 | orient
+  }
+
+  /** Cell width and height in degrees per level. A level-L cell at grid
+    * (x, y) spans `WorldMinX + x * CellW(L)` to that plus `CellW(L)`, and
+    * likewise in y; [[CellId.bounds]] and the covering walk both use this.
+    */
+  private[s2] val CellW: Array[Double] =
+    Array.tabulate(MaxLevel + 1)(l => (WorldMaxX - WorldMinX) / (1L << l))
+  private[s2] val CellH: Array[Double] =
+    Array.tabulate(MaxLevel + 1)(l => (WorldMaxY - WorldMinY) / (1L << l))
 }

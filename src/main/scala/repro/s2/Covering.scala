@@ -26,63 +26,26 @@ object Covering {
     */
   def exteriorIds(poly: Polygon, maxLevel: Int): Array[Long] = {
     require(maxLevel >= 0 && maxLevel <= CellId.MaxLevel)
-    val start = startCell(poly.bbox, maxLevel)
-    val grid  = descend(start.level, start.pos)
+    val b     = poly.bbox
+    val level = startLevel(b, maxLevel)
+    val x     = CellId.xCoord(b.minX) >>> (CellId.MaxLevel - level)
+    val y     = CellId.yCoord(b.minY) >>> (CellId.MaxLevel - level)
+    val start = CellId.gridToPos(level, x, y)
     val w     = new Walk(poly, maxLevel)
-    w.visit((grid >>> 32).toInt, (grid >>> 2).toInt & 0x3fffffff, start.level, start.pos,
-      grid.toInt & 3)
+    w.visit(x.toInt, y.toInt, level, start >>> 2, start.toInt & 3)
     java.util.Arrays.copyOf(w.ids, w.n)
   }
 
-  /** Grid coordinates and orientation of the cell at `pos` of `level`,
-    * packed as `x << 32 | y << 2 | orient`: the walk's child step taken
-    * once per position digit, from the top, starting at the level-0 cell.
-    * (x, y) equals `Hilbert.d2xy(level, pos)`.
+  /** Level of the walk's start cell: the smallest cell holding the box,
+    * capped at `maxLevel`. A level-L cell is the grid square named by the
+    * top L bits of the level-30 coordinates, so the box's corners share a
+    * level-L cell exactly when those bits agree.
     */
-  private[s2] def descend(level: Int, pos: Long): Long = {
-    var x, y, orient = 0
-    var l = 1
-    while (l <= level) {
-      val k  = ((pos >>> (2 * (level - l))) & 3L).toInt
-      val ij = PosToIJ(orient << 2 | k)
-      x = x << 1 | ij >> 1
-      y = y << 1 | ij & 1
-      orient ^= PosToOrientation(k)
-      l += 1
-    }
-    x.toLong << 32 | y.toLong << 2 | orient
+  private[s2] def startLevel(b: BBox, maxLevel: Int): Int = {
+    val diff = (CellId.xCoord(b.minX) ^ CellId.xCoord(b.maxX)) |
+      (CellId.yCoord(b.minY) ^ CellId.yCoord(b.maxY))
+    math.min(maxLevel, CellId.MaxLevel - (64 - java.lang.Long.numberOfLeadingZeros(diff)))
   }
-
-  /** Smallest single cell containing the box, capped at `maxLevel`. */
-  private[s2] def startCell(b: BBox, maxLevel: Int): CellId = {
-    val c1 = CellId.fromPoint(b.minX, b.minY)
-    val c2 = CellId.fromPoint(b.maxX, b.maxY)
-    val anc = CellId.commonAncestor(c1, c2)
-    if (anc.level > maxLevel) anc.parent(maxLevel) else anc
-  }
-
-  /** The curve's child order, in S2's convention (s2geometry.io,
-    * `S2CellId`): bit 0 of a cell's orientation swaps x and y, bit 1
-    * inverts both. Child k of a cell with orientation `orient` is its
-    * quadrant `ij = PosToIJ(orient << 2 | k) = (dx << 1) | dy` and has
-    * orientation `orient ^ PosToOrientation(k)`. From orientation 0 at
-    * level 0 this is the curve of [[Hilbert]].
-    */
-  private val PosToIJ: Array[Int] = Array(
-    0, 1, 3, 2, // orientation 0
-    0, 2, 3, 1, // swap
-    3, 2, 0, 1, // invert
-    3, 1, 0, 2, // swap and invert
-  )
-  private val PosToOrientation: Array[Int] = Array(1, 0, 0, 3)
-
-  /** Cell width and height in degrees per level, as [[CellId.bounds]]
-    * computes them, so the walk's boxes are bit-identical to its.
-    */
-  private val CellW: Array[Double] =
-    Array.tabulate(CellId.MaxLevel + 1)(l => (CellId.WorldMaxX - CellId.WorldMinX) / (1L << l))
-  private val CellH: Array[Double] =
-    Array.tabulate(CellId.MaxLevel + 1)(l => (CellId.WorldMaxY - CellId.WorldMinY) / (1L << l))
 
   /** One covering walk: classifies each visited cell's box against the
     * polygon on scalar coordinates and appends the kept cells' ids.
@@ -98,8 +61,8 @@ object Covering {
     }
 
     def visit(x: Int, y: Int, level: Int, pos: Long, orient: Int): Unit = {
-      val w  = CellW(level)
-      val h  = CellH(level)
+      val w  = CellId.CellW(level)
+      val h  = CellId.CellH(level)
       val x0 = CellId.WorldMinX + x * w
       val y0 = CellId.WorldMinY + y * h
       poly.relate(x0, y0, x0 + w, y0 + h) match {
@@ -110,9 +73,9 @@ object Covering {
           else {
             var k = 0
             while (k < 4) {
-              val ij = PosToIJ(orient << 2 | k)
+              val ij = CellId.PosToIJ(orient << 2 | k)
               visit(x << 1 | ij >> 1, y << 1 | ij & 1, level + 1, pos << 2 | k,
-                orient ^ PosToOrientation(k))
+                orient ^ CellId.PosToOrientation(k))
               k += 1
             }
           }

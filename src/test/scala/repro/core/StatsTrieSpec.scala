@@ -43,7 +43,7 @@ class StatsTrieSpec extends SparkSpec {
   test("sibling cells do not interfere") {
     val t      = new StatsTrie(root)
     val parent = cellNear(-73.9, 40.75, 13)
-    val kids   = parent.children
+    val kids   = (0 until 4).map(parent.child)
     t.record(kids(0)); t.record(kids(0)); t.record(kids(2))
     assert(hitsOf(t, kids(0)) == 2)
     assert(hitsOf(t, kids(1)) == 0)
@@ -68,7 +68,7 @@ class StatsTrieSpec extends SparkSpec {
   test("parentHits feeds the score") {
     val t      = new StatsTrie(root)
     val parent = cellNear(-73.9, 40.75, 13)
-    val child  = parent.children(1)
+    val child  = parent.child(1)
     t.record(parent); t.record(parent); t.record(parent)
     t.record(child)
     val entries = t.entries

@@ -75,7 +75,7 @@ class TriePropertySpec extends SparkSpec with PropertyChecks {
       }
       // the inserted cells, their ancestors and children, and random others
       val probes = (inserted ++ others).flatMap { c =>
-        c +: ((root.level to c.level).map(c.parent(_)) ++ c.children)
+        c +: ((root.level to c.level).map(c.parent(_)) ++ (0 until 4).map(c.child))
       }
       t.numAggregates == last.size && probes.forall { c =>
         val node = t.nodeOf(c)
@@ -123,7 +123,7 @@ class TriePropertySpec extends SparkSpec with PropertyChecks {
       Gen.listOfN(cells.length, Gen.listOfN(4, Gen.prob(0.5))).map { masks =>
         cells.zip(masks).flatMap { case (c, mask) =>
           if (c.level < block.blockLevel && mask.contains(true))
-            c.children.zip(mask).collect { case (k, true) => k }
+            (0 until 4).map(c.child).zip(mask).collect { case (k, true) => k }
           else Seq(c)
         }
       }

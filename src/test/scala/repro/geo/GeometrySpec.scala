@@ -112,6 +112,19 @@ class GeometrySpec extends SparkSpec {
     assert(math.abs(ell.area - 7.0) < 1e-12)
   }
 
+  test("a polygon rejects NaN and infinite vertices, naming the index and the value") {
+    Seq((Pt(Double.NaN, 0), "vertex 1 is not finite: Pt(NaN,0.0)"),
+        (Pt(Double.PositiveInfinity, 0), "vertex 1 is not finite: Pt(Infinity,0.0)"),
+        (Pt(3, Double.NegativeInfinity), "vertex 1 is not finite: Pt(3.0,-Infinity)"),
+        (Pt(Double.NegativeInfinity, Double.NaN), "vertex 1 is not finite: Pt(-Infinity,NaN)"))
+      .foreach { case (bad, named) =>
+        val e = intercept[IllegalArgumentException](Polygon(IndexedSeq(Pt(0, 0), bad, Pt(0, 6))))
+        assert(e.getMessage.contains(named), e.getMessage)
+      }
+    // Finite vertices outside the world stay valid: coverings clamp them.
+    assert(Polygon(IndexedSeq(Pt(-200, -100), Pt(200, -100), Pt(0, 100))).bbox.minX == -200)
+  }
+
   test("BBox predicates") {
     val b = BBox(0, 0, 2, 2)
     assert(b.contains(Pt(1, 1)) && b.contains(Pt(0, 0)) && b.contains(Pt(2, 2)))

@@ -3,7 +3,7 @@ package repro.s2
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropertyChecks, SparkSpec, TestData}
 import repro.core.{AggFunc, AggSpec, AggState, GeoBlock}
-import repro.geo.{BoxRelation, Polygon, Pt}
+import repro.geo.{BBox, BoxRelation, Polygon, Pt}
 import repro.workload.{Neighborhoods, Workloads}
 import scala.collection.mutable.ArrayBuffer
 
@@ -78,6 +78,30 @@ class CoveringPropertySpec extends SparkSpec with PropertyChecks {
       Polygon(IndexedSeq(Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
     }
 
+  /** Polygons and rectangles whose vertices lie exactly on the grid lines
+    * of a random level: each coordinate is `WorldMin + i * cell size`, the
+    * walk's own box formula, so vertices and edges sit on cell boundaries
+    * at that level and every finer one.
+    */
+  private val boundaryPoly: Gen[Polygon] = {
+    def snapX(x: Double, l: Int) =
+      CellId.WorldMinX + math.floor((x - CellId.WorldMinX) / CellId.CellW(l)) * CellId.CellW(l)
+    def snapY(y: Double, l: Int) =
+      CellId.WorldMinY + math.floor((y - CellId.WorldMinY) / CellId.CellH(l)) * CellId.CellH(l)
+    for {
+      l    <- Gen.choose(8, 24)
+      poly <- Gen.oneOf(randomPoly, largeRect)
+    } yield Polygon(poly.vertices.map(p => Pt(snapX(p.x, l), snapY(p.y, l))))
+  }
+
+  /** The start cell by its definition: the deepest common ancestor of the
+    * leaves at the box's corners, capped at `maxLevel`.
+    */
+  private def ancestorStartCell(b: BBox, maxLevel: Int): CellId = {
+    val anc = CellId.commonAncestor(CellId.fromPoint(b.minX, b.minY), CellId.fromPoint(b.maxX, b.maxY))
+    if (anc.level > maxLevel) anc.parent(maxLevel) else anc
+  }
+
   /** The covering as the plain recursion computes it: `relateBox` on each
     * visited cell's `bounds`, recursing into `child(0..3)`.
     */
@@ -93,7 +117,7 @@ class CoveringPropertySpec extends SparkSpec with PropertyChecks {
           while (i < 4) { recurse(cell.child(i)); i += 1 }
         }
     }
-    recurse(Covering.startCell(poly.bbox, maxLevel))
+    recurse(ancestorStartCell(poly.bbox, maxLevel))
     out.toArray
   }
 
@@ -189,21 +213,64 @@ class CoveringPropertySpec extends SparkSpec with PropertyChecks {
   }
 
   test("the walk returns the reference recursion's ids on random polygons and rectangles") {
-    val gen = Gen.oneOf(anyPoly, largeRect).flatMap(p => levelFor(p).map(p -> _))
+    val gen = Gen.oneOf(anyPoly, largeRect, boundaryPoly).flatMap(p => levelFor(p).map(p -> _))
     check(Prop.forAllNoShrink(gen) { case (poly, maxLevel) =>
       Prop(sameAsReference(poly, maxLevel)) :| s"level $maxLevel, $poly"
     }, minSuccessful = 400)
   }
 
   test("the walk's grid coordinates equal Hilbert.d2xy") {
+    // The walk starts from gridToPos's position and orientation and steps
+    // down with the tables as posToGrid does; both must name the same
+    // cell, in the same orientation, as the reference curve.
     val cell = for {
       level <- Gen.oneOf(Gen.choose(0, 30), Gen.oneOf(0, 1, 30))
       pos   <- Gen.choose(0L, (1L << (2 * level)) - 1)
     } yield (level, pos)
     check(Prop.forAllNoShrink(cell) { case (level, pos) =>
-      val grid = Covering.descend(level, pos)
-      Hilbert.d2xy(level, pos) == ((grid >>> 32, (grid >>> 2) & 0x3fffffffL))
+      val grid   = CellId.posToGrid(level, pos)
+      val (x, y) = (grid >>> 32, (grid >>> 2) & 0x3fffffffL)
+      Prop(Hilbert.d2xy(level, pos) == ((x, y)) &&
+        CellId.gridToPos(level, x, y) == (pos << 2 | grid & 3)) :| s"level $level, pos $pos"
     }, minSuccessful = 500)
+  }
+
+  test("the start cell equals the corners' common ancestor capped at maxLevel") {
+    def box(x0: Double, y0: Double, x1: Double, y1: Double) =
+      BBox(math.min(x0, x1), math.min(y0, y1), math.max(x0, x1), math.max(y0, y1))
+    val lon = Gen.choose(-180.0, 180.0)
+    val lat = Gen.choose(-90.0, 90.0)
+    // Random corners, 1e-7 degrees up to the world apart.
+    val random = for {
+      x0 <- lon; y0 <- lat
+      logW <- Gen.choose(-7.0, 2.6); logH <- Gen.choose(-7.0, 2.3)
+    } yield box(x0, y0, math.min(180.0, x0 + math.pow(10, logW)), math.min(90.0, y0 + math.pow(10, logH)))
+    // Corners on the grid lines of a random level, a few cells apart.
+    val onBoundaries = for {
+      l  <- Gen.choose(0, 30)
+      i0 <- Gen.choose(0L, 1L << l)
+      j0 <- Gen.choose(0L, 1L << l)
+      di <- Gen.choose(0L, 3L)
+      dj <- Gen.choose(0L, 3L)
+    } yield box(CellId.WorldMinX + i0 * CellId.CellW(l), CellId.WorldMinY + j0 * CellId.CellH(l),
+      CellId.WorldMinX + math.min(i0 + di, 1L << l) * CellId.CellW(l),
+      CellId.WorldMinY + math.min(j0 + dj, 1L << l) * CellId.CellH(l))
+    // Boxes reaching past the world's edge, which the grid clamps.
+    val pastTheEdge = for {
+      x0 <- Gen.choose(-400.0, 180.0); y0 <- Gen.choose(-200.0, 90.0)
+      x1 <- Gen.choose(-180.0, 400.0); y1 <- Gen.choose(-90.0, 200.0)
+      edge <- Gen.oneOf(0, 1, 2, 3)
+    } yield edge match {
+      case 0 => box(math.min(x0, -180.5), y0, x1, y1)
+      case 1 => box(x0, math.min(y0, -90.5), x1, y1)
+      case 2 => box(x0, y0, math.max(x1, 180.5), y1)
+      case _ => box(x0, y0, x1, math.max(y1, 90.5))
+    }
+    check(Prop.forAllNoShrink(Gen.oneOf(random, onBoundaries, pastTheEdge), Gen.choose(0, 30)) {
+      (b, maxLevel) =>
+        val start = CellId.fromPoint(b.minX, b.minY, Covering.startLevel(b, maxLevel))
+        Prop(start.id == ancestorStartCell(b, maxLevel).id) :| s"$b, maxLevel $maxLevel"
+    }, minSuccessful = 2000)
   }
 
   /** V1 `select` against the per-cell read of the same covering, bit for

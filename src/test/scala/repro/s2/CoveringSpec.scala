@@ -54,7 +54,8 @@ class CoveringSpec extends SparkSpec {
   }
 
   test("startCell contains the polygon bbox") {
-    val sc = Covering.startCell(quad.bbox, 17)
+    val b0 = quad.bbox
+    val sc = CellId.fromPoint(b0.minX, b0.minY, Covering.startLevel(b0, 17))
     val b  = sc.bounds
     assert(b.containsBox(quad.bbox) || sc.level == 17)
   }

@@ -1,11 +1,8 @@
 package repro.s2
 
-/** Order-n Hilbert curve between 2-D grid coordinates and 1-D positions.
-  *
-  * The curve is self-similar: the top `2*L` bits of the order-n position of
-  * a point select the level-L quadrant, and quadrant positions at level L
-  * follow the order-L curve. [[CellId]] relies on this prefix property to
-  * give every cell's descendants a contiguous position range.
+/** Order-n Hilbert curve between 2-D grid coordinates and 1-D positions,
+  * by the textbook rotation algorithm: the reference that the tests hold
+  * [[CellId]]'s table-driven curve to.
   *
   * Coordinates are unsigned `n`-bit values; positions are unsigned
   * `2n`-bit values. With n = 30 positions fit comfortably in a Long.
